@@ -1,6 +1,9 @@
-"""Benchmark the compiled filter kernel against the pure-Python fallback.
+"""Benchmark the filter passes: the full kernel of each backend and the
+loglik-only pass that the QML objective runs.
 
 Run:  python3 benchmarks/bench_filter.py
+
+Every row must give the same loglik bits; the script stops if they differ.
 """
 
 import time
@@ -16,38 +19,42 @@ try:
 except ImportError:
     _filter_core = None
 
+MODEL = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
+SPEC = StateSpaceSpec()
 
-def time_kernel(kernel, y, n_calls):
-    params = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
-    spec = StateSpaceSpec()
-    a, b, q0, q1 = estimate._transition_coeffs(params, spec.delta)
-    d, c = estimate._measurement_coeffs(params, spec)
-    out = tuple(np.empty(y.size) for _ in range(6))
-    args = (y, a, b, q0, q1, d, c, 1e-6, params.theta, params.stationary_var(), *out)
-    kernel(*args)  # warm up
+
+def time_pass(run, n_calls):
+    run()  # warm up
     t0 = time.perf_counter()
     for _ in range(n_calls):
-        ll, err = kernel(*args)
+        ll, err = run()
     dt = (time.perf_counter() - t0) / n_calls
     assert err < 0
     return dt, ll
 
 
 def main():
-    model = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
-    spec = StateSpaceSpec()
-    print(f"{'T':>6} {'python':>12} {'cython':>12} {'speedup':>8}")
+    coeffs = estimate._filter_coeffs(MODEL.kappa, MODEL.theta, MODEL.sigma, 1e-3, SPEC)
+    print(f"{'T':>6} {'pass':<16} {'time':>12} {'vs python full':>15}")
     for T, n_calls in ((500, 200), (5000, 40)):
-        y = estimate.simulate_observations(model, 1e-3, spec, T, RngStream(7))
-        t_py, ll_py = time_kernel(_filter_py.filter_kernel, y, n_calls)
-        if _filter_core is None:
-            print(f"{T:>6} {t_py * 1e3:>10.3f}ms {'n/a':>12} {'n/a':>8}")
-            continue
-        t_cy, ll_cy = time_kernel(_filter_core.filter_kernel, y, n_calls)
-        assert ll_py == ll_cy, "kernels disagree bitwise"
-        print(f"{T:>6} {t_py * 1e3:>10.3f}ms {t_cy * 1e3:>10.3f}ms {t_py / t_cy:>7.1f}x")
+        y = estimate.simulate_observations(MODEL, 1e-3, SPEC, T, RngStream(7))
+        out = tuple(np.empty(T) for _ in range(6))
+        ys = y.tolist()
+        passes = [
+            ("python full", lambda: _filter_py.filter_kernel(y, *coeffs, *out)),
+            ("python loglik", lambda: _filter_py.filter_loglik(ys, *coeffs)),
+        ]
+        if _filter_core is not None:
+            passes.append(("cython full", lambda: _filter_core.filter_kernel(y, *coeffs, *out)))
+        base = None
+        for name, run in passes:
+            dt, ll = time_pass(run, n_calls)
+            if base is None:
+                base, ll_ref = dt, ll
+            assert ll.hex() == ll_ref.hex(), f"{name} loglik differs from python full"
+            print(f"{T:>6} {name:<16} {dt * 1e3:>10.3f}ms {base / dt:>14.1f}x")
     if _filter_core is None:
-        print("compiled kernel unavailable; pure-Python fallback only")
+        print("compiled kernel unavailable; pure-Python passes only")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 """Compiled scalar Kalman recursion.
 
 Statement-for-statement twin of ``_filter_py.filter_kernel``; keep the two
-in sync, including the order of arithmetic operations.
+in sync, including the order of arithmetic operations.  The compiled backend
+has no loglik-only twin: ``_backend.bind_loglik`` runs this kernel into six
+scratch arrays allocated once per series, so the QML objective gets the
+loglik and err_index of ``_filter_py.filter_loglik`` bit for bit.
 """
 
 from libc.math cimport log, isnan, M_PI

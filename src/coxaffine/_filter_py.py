@@ -2,6 +2,9 @@
 
 Mirrors the compiled kernel in ``_filter_core.pyx`` statement for statement;
 keep the two in sync, including the order of arithmetic operations.
+``filter_loglik`` is the loglik-only twin of ``filter_kernel`` that the QML
+objective runs: the same statements in the same order, with the per-step
+stores left out, so its loglik and err_index equal the full pass bit for bit.
 """
 
 import math
@@ -68,4 +71,36 @@ def filter_kernel(
         innov[t] = v
         innov_var[t] = s
         ll += -0.5 * (_LOG_2PI + math.log(s) + v * v / s)
+    return ll, -1
+
+
+def filter_loglik(y, a, b, q0, q1, d, c, r2, m0, p0):
+    """``filter_kernel`` without the six output arrays: returns only
+    (loglik, err_index), bitwise equal to the full pass on the same inputs.
+
+    Fastest over a list of Python floats (``y.tolist()``), where every step is
+    plain float arithmetic; any sequence of floats gives the same bits.
+    """
+    log = math.log
+    ll = 0.0
+    m = m0
+    p = p0
+    for t, yt in enumerate(y):
+        if t > 0:
+            q = q0 + q1 * m
+            mp = a * m + b
+            pp = a * a * p + q
+        else:
+            mp = m0
+            pp = p0
+        v = yt - (d + c * mp)
+        s = c * c * pp + r2
+        if not (s > 0.0) or s != s:
+            return math.nan, t
+        k = pp * c / s
+        m = mp + k * v
+        if m < 0.0:
+            m = 0.0
+        p = (1.0 - k * c) * pp
+        ll += -0.5 * (_LOG_2PI + log(s) + v * v / s)
     return ll, -1

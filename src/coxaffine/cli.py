@@ -198,13 +198,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         ["index", "standardized_residual"],
         enumerate(filt.standardized_residuals),
     )
-    d, c = estimate._measurement_coeffs(result.params, spec)
+    p = result.params
+    coeffs = estimate._filter_coeffs(p.kappa, p.theta, p.sigma, result.R, spec)
     _write_csv(
         os.path.join(args.out, "fitted_vs_observed.csv"),
         cfg,
         ["index", "observed", "one_step_fit", "filtered_intensity"],
         (
-            (t, y[t], d + c * filt.predicted_mean[t], filt.filtered_mean[t])
+            (t, y[t], coeffs.d + coeffs.c * filt.predicted_mean[t], filt.filtered_mean[t])
             for t in range(y.size)
         ),
     )

@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import optimize, stats
 
-from ._backend import BACKEND, filter_kernel
+from ._backend import BACKEND, bind_loglik, filter_kernel
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream
@@ -189,40 +189,58 @@ def _observable(obs) -> np.ndarray:
     return np.ascontiguousarray(y, dtype=float)
 
 
-def _transition_coeffs(params: FellerModel, delta: float):
-    e = math.exp(-params.kappa * delta)
+class _Rates(NamedTuple):
+    """The three fields of a Feller model that ``cir_transform_closed_form``
+    reads, without ``FellerModel``'s validation."""
+
+    kappa: float
+    theta: float
+    sigma: float
+
+
+class _Coeffs(NamedTuple):
+    """The nine filter-kernel arguments that follow ``y``."""
+
+    a: float
+    b: float
+    q0: float
+    q1: float
+    d: float
+    c: float
+    r2: float
+    m0: float
+    p0: float
+
+
+def _filter_coeffs(kappa, theta, sigma, R, spec: StateSpaceSpec) -> _Coeffs:
+    """The one map from parameters to filter coefficients.
+
+    (a, b, q0, q1) are the transition moments over ``spec.delta``, (d, c) the
+    measurement through ``spec.mapping``, r2 = R^2, and the prior (m0, p0) is
+    the stationary mean and variance.  The parameters are plain numbers and
+    are not validated: the QML objective calls this once per evaluation.
+    """
+    e = math.exp(-kappa * spec.delta)
     a = e
-    b = params.theta * (1.0 - e)
-    q1 = params.sigma**2 * (1.0 - e) * e / params.kappa
-    q0 = params.sigma**2 * params.theta * (1.0 - e) ** 2 / (2.0 * params.kappa)
-    return a, b, q0, q1
-
-
-def _measurement_coeffs(params: FellerModel, spec: StateSpaceSpec):
+    b = theta * (1.0 - e)
+    q1 = sigma**2 * (1.0 - e) * e / kappa
+    q0 = sigma**2 * theta * (1.0 - e) ** 2 / (2.0 * kappa)
     if spec.mapping == "direct_state":
         d, c = 0.0, 1.0
     else:
-        tc = cir_transform_closed_form(params, 1.0, spec.window)
+        tc = cir_transform_closed_form(_Rates(kappa, theta, sigma), 1.0, spec.window)
         alpha, beta = float(tc.alpha), float(tc.beta)
         if spec.mapping == "log_prob_no_arrival":
             d, c = alpha, -beta
         else:
             # linearize exp(alpha - beta lam) around lam = theta
-            base = math.exp(alpha - beta * params.theta)
-            d = base * (1.0 + beta * params.theta)
+            base = math.exp(alpha - beta * theta)
+            d = base * (1.0 + beta * theta)
             c = -base * beta
-    return spec.obs_scale * d, spec.obs_scale * c
-
-
-def _run_filter(params: FellerModel, R: float, y: np.ndarray, spec: StateSpaceSpec):
-    T = y.shape[0]
-    a, b, q0, q1 = _transition_coeffs(params, spec.delta)
-    d, c = _measurement_coeffs(params, spec)
-    m0 = params.theta
-    p0 = params.stationary_var()
-    out = tuple(np.empty(T) for _ in range(6))
-    ll, err = filter_kernel(y, a, b, q0, q1, d, c, R * R, m0, p0, *out)
-    return ll, err, out
+    p0 = sigma**2 * theta / (2.0 * kappa)  # FellerModel.stationary_var
+    return _Coeffs(
+        a, b, q0, q1, spec.obs_scale * d, spec.obs_scale * c, R * R, theta, p0
+    )
 
 
 def kalman_filter(
@@ -243,7 +261,9 @@ def kalman_filter(
     bad = ~np.isfinite(y)
     if bad.any():
         raise ValueError(f"non-finite observation at index {int(np.argmax(bad))}")
-    ll, err, (pm, pv, fm, fv, innov, ivar) = _run_filter(params, R, y, spec)
+    coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, R, spec)
+    pm, pv, fm, fv, innov, ivar = out = tuple(np.empty(y.size) for _ in range(6))
+    ll, err = filter_kernel(y, *coeffs, *out)
     if err >= 0:
         raise ArithmeticError(f"innovation variance not positive at step {err}")
     resid = innov / np.sqrt(ivar)
@@ -269,18 +289,30 @@ def qml_loglik(
 _PENALTY = 1e12
 
 
-def _neg_loglik_logspace(x: np.ndarray, y: np.ndarray, spec: StateSpaceSpec) -> float:
-    if np.any(np.abs(x) > 50.0):
-        return _PENALTY
-    kappa, theta, sigma, R = np.exp(x)
-    try:
-        params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
-        ll, err, _ = _run_filter(params, R, y, spec)
-    except (ValueError, OverflowError, FloatingPointError):
-        return _PENALTY
-    if err >= 0 or not math.isfinite(ll):
-        return _PENALTY
-    return -ll
+def _objective(y: np.ndarray, spec: StateSpaceSpec):
+    """Negative quasi log-likelihood over log-parameters, bound to one series.
+
+    Each evaluation maps x to coefficients as floats and runs the backend's
+    loglik-only pass; the value equals ``-kalman_filter(...).loglik`` bit for
+    bit.  Points outside |x| <= 50, and points where the filter fails, score
+    ``_PENALTY``.  Inside the box exp(x) is finite and positive, so the
+    parameters need no ``FellerModel`` validation.
+    """
+    loglik = bind_loglik(y)
+
+    def neg_loglik(x: np.ndarray) -> float:
+        if any(abs(v) > 50.0 for v in x.tolist()):
+            return _PENALTY
+        kappa, theta, sigma, R = np.exp(x).tolist()
+        try:
+            ll, err = loglik(*_filter_coeffs(kappa, theta, sigma, R, spec))
+        except (ValueError, OverflowError):  # math domain and range errors
+            return _PENALTY
+        if err >= 0 or not math.isfinite(ll):
+            return _PENALTY
+        return -ll
+
+    return neg_loglik
 
 
 def fit(
@@ -307,14 +339,14 @@ def fit(
         rng = RngStream(0)
     x0 = np.log([init.kappa, init.theta, init.sigma, max(R_init, 1e-12)])
 
+    objective = _objective(y, spec)
     best = None
     gen = rng.generator()
     for r in range(options.n_restarts + 1):
         xr = x0 if r == 0 else x0 + options.perturb_scale * gen.standard_normal(4)
         res = optimize.minimize(
-            _neg_loglik_logspace,
+            objective,
             xr,
-            args=(y, spec),
             method="Nelder-Mead",
             options={
                 "xatol": options.xatol,
@@ -384,9 +416,10 @@ def std_errors(
     x = np.log([params_hat.kappa, params_hat.theta, params_hat.sigma, max(R_hat, 1e-300)])
     n = x.size
     h = rel_step * np.maximum(1.0, np.abs(x))
+    objective = _objective(y, spec)
 
     def f(xv):
-        v = _neg_loglik_logspace(xv, y, spec)
+        v = objective(xv)
         return math.nan if v >= _PENALTY else -v
 
     f0 = f(x)
@@ -486,13 +519,13 @@ def simulate_observations(
         lam = model.lambda0
     else:
         raise ValueError(f"start must be 'stationary' or 'fixed', got {start!r}")
-    d, c = _measurement_coeffs(model, spec)
+    coeffs = _filter_coeffs(model.kappa, model.theta, model.sigma, R, spec)
     lams = np.empty(n_obs)
     lams[0] = lam
     for t in range(1, n_obs):
         lams[t] = sample_cir_transition(model, lams[t - 1], spec.delta, gen)
     noise = gen.standard_normal(n_obs)
-    return d + c * lams + R * noise
+    return coeffs.d + coeffs.c * lams + R * noise
 
 
 @dataclass(frozen=True)

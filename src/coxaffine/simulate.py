@@ -138,12 +138,17 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
     J ~ Poisson(l/2).  The Gamma route is valid for every d > 0, including
     d < 1 where half-integer chi-square recipes break down.
 
-    For vanishing volatility the mixing parameters overflow the discrete
-    samplers (Poisson breaks past ~9e18), so extreme d + l falls back to a
-    Normal with the exact conditional mean and variance; the distributional
-    error is O((d + 2l)^{-1/2}), below 1e-6 at the switch point.  The branch
-    depends only on (model, dt), never on the draws, so reproducibility
-    across schedules is unaffected.
+    The route is chosen per element.  For vanishing volatility the mixing
+    parameters overflow the discrete samplers (Poisson breaks past ~9e18), so
+    an element whose d or l exceeds 1e12 is drawn instead from a Normal with
+    the exact conditional mean and variance, floored at zero; the
+    distributional error is O((d + 2l)^{-1/2}), below 1e-6 at the switch
+    point.  A block with no such element draws Poisson then Gamma over the
+    whole block.  A block with some draws Poisson then Gamma over the other
+    elements, in order, and then one standard Normal per routed element, so
+    a large element never changes how its neighbours are drawn.  The route
+    depends on lambda_s, never on the draws, so reproducibility across
+    schedules is unaffected.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -156,15 +161,22 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
     if c <= 0.0 or not math.isfinite(dfree):
         # sigma^2 (or the step) underflowed: the transition is deterministic
         out = mean
-    elif dfree > 1e12 or np.any(lam * (e / c) > 1e12):
-        var = lam * (model.sigma**2 * (e - e * e) / model.kappa) + model.theta * (
-            model.sigma**2 * (1.0 - e) ** 2 / (2.0 * model.kappa)
-        )
-        out = np.maximum(0.0, mean + np.sqrt(var) * gen.standard_normal(lam.shape))
     else:
         noncent = lam * (e / c)
-        j = gen.poisson(0.5 * noncent)
-        out = c * 2.0 * gen.standard_gamma(0.5 * dfree + j)
+        normal = (noncent > 1e12) | (dfree > 1e12)
+        if not normal.any():
+            j = gen.poisson(0.5 * noncent)
+            out = c * 2.0 * gen.standard_gamma(0.5 * dfree + j)
+        else:
+            out = np.empty(lam.shape)
+            chi2 = ~normal
+            j = gen.poisson(0.5 * noncent[chi2])
+            out[chi2] = c * 2.0 * gen.standard_gamma(0.5 * dfree + j)
+            var = lam[normal] * (model.sigma**2 * (e - e * e) / model.kappa) + model.theta * (
+                model.sigma**2 * (1.0 - e) ** 2 / (2.0 * model.kappa)
+            )
+            draws = gen.standard_normal(var.shape)
+            out[normal] = np.maximum(0.0, mean[normal] + np.sqrt(var) * draws)
     if np.isscalar(lambda_s):
         return float(out)
     return out

@@ -29,17 +29,23 @@ from coxaffine import (
     simulate_observations,
     std_errors,
 )
-from coxaffine.estimate import _measurement_coeffs, _transition_coeffs
+from coxaffine.estimate import _filter_coeffs
 
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
+
+
+def measurement(params, spec):
+    """(d, c) of y = d + c lam under the model and mapping."""
+    coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, 0.0, spec)
+    return coeffs.d, coeffs.c
 
 
 def joint_gaussian_loglik(params, R, y, spec):
     """Density of y under the linear-Gaussian model with the per-step
     transition variances the filter actually used."""
     T = y.size
-    a, _, _, _ = _transition_coeffs(params, spec.delta)
-    d, c = _measurement_coeffs(params, spec)
+    coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, R, spec)
+    a, d, c = coeffs.a, coeffs.d, coeffs.c
     out = kalman_filter(params, R, y, spec)
     # recover frozen Q_t from the variance recursion
     q = np.empty(T)
@@ -76,7 +82,7 @@ class TestFilterOracle:
     def test_log_mapping_density(self, T):
         params = FellerModel(kappa=0.3, theta=0.05, sigma=0.06, lambda0=0.05)
         spec = StateSpaceSpec(delta=1.0, window=0.01, mapping="log_prob_no_arrival")
-        d, c = _measurement_coeffs(params, spec)
+        d, c = measurement(params, spec)
         gen = RngStream(551).generator()
         # perturbations ~ one innovation sd, far from the filter's floor at 0
         y = d + c * params.theta + 0.01 * abs(c) * gen.standard_normal(T)
@@ -104,7 +110,7 @@ class TestFilterBehavior:
         params = DESK
         y = simulate_observations(params, 1e-3, spec, 200, RngStream(552))
         out = kalman_filter(params, 1e-3, y, spec)
-        d, c = _measurement_coeffs(params, spec)
+        d, c = measurement(params, spec)
         assert np.allclose(out.innovations, y - (d + c * out.predicted_mean), atol=1e-14)
         assert np.allclose(
             out.standardized_residuals,
@@ -260,7 +266,7 @@ class TestSimulateObservations:
 
     def test_level_matches_measurement(self):
         y = simulate_observations(DESK, 1e-3, self.SPEC, 20_000, RngStream(802))
-        d, c = _measurement_coeffs(DESK, self.SPEC)
+        d, c = measurement(DESK, self.SPEC)
         target = d + c * DESK.theta
         assert abs(y.mean() - target) < 4.0 * y.std(ddof=1) / math.sqrt(y.size)
 

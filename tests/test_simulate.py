@@ -76,6 +76,22 @@ class TestTransition:
         model = FellerModel(kappa=1.0, theta=1.0, sigma=1e-7, lambda0=1.3)
         assert_moments_match(model, 1.3, 0.4, 200_000, 2204)
 
+    def test_mixed_block_routes_only_the_large_element(self):
+        # noncentrality lam e/c crosses 1e12 only for the last element
+        small = np.array([0.3, 1.0, 2.5])
+        mixed = np.append(small, 1e9)
+        alone = sample_cir_transition(BASE, small, 0.01, RngStream(2205).generator())
+        gen = RngStream(2205).generator()
+        out = sample_cir_transition(BASE, mixed, 0.01, gen)
+        assert np.array_equal(out[:3], alone)
+        # the large element takes exactly one standard Normal after the others
+        replay = RngStream(2205).generator()
+        sample_cir_transition(BASE, small, 0.01, replay)
+        z = replay.standard_normal()
+        mean, var = transition_moments(BASE, 1e9, 0.01)
+        assert out[3] == pytest.approx(mean + math.sqrt(var) * z, rel=1e-12)
+        assert gen.random() == replay.random()
+
     def test_underflow_is_deterministic(self):
         model = FellerModel(kappa=1.0, theta=1.0, sigma=1e-300, lambda0=1.3)
         mean, _ = transition_moments(model, 1.3, 0.4)
