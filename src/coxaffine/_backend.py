@@ -1,7 +1,6 @@
 """Filter kernel selection.
 
-The compiled kernel is used when the extension built; otherwise, or when the
-environment variable COXAFFINE_PURE_PYTHON is set to a nonempty value, the
+The compiled kernel is used when the extension imports; otherwise the
 pure-Python reference kernel runs instead.  Both produce identical numbers.
 
 ``bind_loglik(y)`` binds one observation series, held in the form the kernel
@@ -12,17 +11,12 @@ the compiled backend runs ``filter_kernel`` into six scratch arrays allocated
 once per series.
 """
 
-import os
-
 import numpy as np
 
-if os.environ.get("COXAFFINE_PURE_PYTHON"):
+try:
+    from ._filter_core import BACKEND, filter_kernel
+except ImportError:
     from ._filter_py import BACKEND, filter_kernel
-else:
-    try:
-        from ._filter_core import BACKEND, filter_kernel
-    except ImportError:
-        from ._filter_py import BACKEND, filter_kernel
 
 if BACKEND == "python":
     from ._filter_py import filter_loglik

@@ -292,40 +292,36 @@ def distance_to_stationary(
 
     gamma_law = stationary_intensity(model)
 
-    def averaged_pmf(stream, n, t, launch):
-        # mean and standard error of the conditional pmf over n paths
-        sums = np.zeros(k_max + 1)
-        sumsq = np.zeros(k_max + 1)
-        n_done = 0
-        block_id = 0
-        while n_done < n:
-            nb_block = min(sim.BLOCK_SIZE, n - n_done)
-            gen = stream.spawn(block_id).generator()
-            if launch == "fixed":
-                lam = np.full(nb_block, model.lambda0)
+    def launch_at(t, origin):
+        # n starting intensities at time t after a fixed or stationary origin
+        def launch(gen, n):
+            if origin == "fixed":
+                lam = np.full(n, model.lambda0)
             else:
-                lam = gamma_law.sample(gen, size=nb_block)
+                lam = gamma_law.sample(gen, size=n)
             if t > 0:
                 lam = sim.sample_cir_transition(model, lam, float(t), gen)
-            hazard = sim._window_hazard(model, lam, window, steps_per_window, gen)
-            pk = np.exp(-hazard)
-            for k in range(k_max + 1):
-                sums[k] += pk.sum()
-                sumsq[k] += (pk * pk).sum()
-                pk = pk * hazard / (k + 1)
-            n_done += nb_block
-            block_id += 1
-        phat = sums / n
-        var_hat = np.clip(sumsq / n - phat**2, 0.0, None)
-        return phat, np.sqrt(var_hat / n)
+            return lam
 
-    ref_probs, ref_se = averaged_pmf(rng.spawn(t_grid.size), 2 * n_paths, 0.0, "stationary")
+        return launch
+
+    ref_probs, ref_se = sim._averaged_conditional_pmf(
+        model,
+        launch_at(0.0, "stationary"),
+        2 * n_paths,
+        window,
+        steps_per_window,
+        k_max,
+        rng.spawn(t_grid.size),
+    )
     ref_tail = max(0.0, 1.0 - float(ref_probs.sum()))
 
     distances = np.empty(t_grid.size)
     noise = np.empty(t_grid.size)
     for j, t in enumerate(t_grid):
-        phat, se = averaged_pmf(rng.spawn(j), n_paths, t, start)
+        phat, se = sim._averaged_conditional_pmf(
+            model, launch_at(t, start), n_paths, window, steps_per_window, k_max, rng.spawn(j)
+        )
         tail_hat = max(0.0, 1.0 - float(phat.sum()))
         distances[j] = 0.5 * (np.abs(phat - ref_probs).sum() + abs(tail_hat - ref_tail))
         noise[j] = 0.5 * np.sqrt(se**2 + ref_se**2).sum()

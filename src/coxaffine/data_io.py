@@ -29,8 +29,6 @@ __all__ = [
     "save_events",
     "aggregate",
     "to_observable",
-    "save_series",
-    "load_series",
     "load_pipeline_config",
 ]
 
@@ -95,14 +93,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return int(self.timestamps_ms.size)
-
-    def filter_side(self, side: str) -> "EventLog":
-        keep = [i for i, s in enumerate(self.side) if s == side]
-        return EventLog(
-            timestamps_ms=self.timestamps_ms[keep],
-            side=tuple(self.side[i] for i in keep),
-            instrument=self.instrument,
-        )
 
 
 def load_events(path, format: str = "csv") -> EventLog:
@@ -258,11 +248,15 @@ def aggregate(
         )
 
     day = day[in_session]
-    bin_idx = offset[in_session] // interval_ms
     days = np.unique(day)
-    per_day = np.zeros((days.size, n_bins))
-    for i, d in enumerate(days):
-        per_day[i] = np.bincount(bin_idx[day == d], minlength=n_bins)
+    # one flat day-major bin index per event; searchsorted on the few days
+    # keeps peak memory below np.unique(..., return_inverse=True), whose
+    # sort temporaries are each as long as the event log
+    key = np.searchsorted(days, day) * n_bins
+    key += offset[in_session] // interval_ms
+    per_day = (
+        np.bincount(key, minlength=days.size * n_bins).reshape(days.size, n_bins).astype(float)
+    )
 
     bin_starts = start_ms + interval_ms * np.arange(n_bins, dtype=np.int64)
     if average_days:
@@ -308,60 +302,6 @@ def to_observable(
         half = 1.0 / (2.0 * M)
         obs = np.log(np.maximum(1.0 - freq, half))
     return replace(series, observable=obs, mapping=mapping, M=int(M), flagged=flagged)
-
-
-def save_series(series: ObservationSeries, path, header_comment: Optional[str] = None) -> None:
-    """Write ``interval_start,count,observable`` rows (observable may be empty)."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        meta = {
-            "interval_seconds": series.interval_seconds,
-            "M": series.M,
-            "mapping": series.mapping,
-            "counts_are_averaged": series.counts_are_averaged,
-            "n_dropped": series.n_dropped,
-        }
-        fh.write(f"# meta: {json.dumps(meta, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["interval_start", "count", "observable"])
-        obs = series.observable
-        for i in range(len(series)):
-            c = series.counts[i]
-            count_txt = str(int(c)) if float(c).is_integer() and not series.counts_are_averaged else repr(float(c))
-            obs_txt = "" if obs is None else repr(float(obs[i]))
-            writer.writerow([_format_timestamp_ms(series.interval_start_ms[i]), count_txt, obs_txt])
-
-
-def load_series(path) -> ObservationSeries:
-    meta = {}
-    starts, counts, obs = [], [], []
-    with open(path, newline="") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                stripped = line[1:].strip()
-                if stripped.startswith("meta:"):
-                    meta = json.loads(stripped[len("meta:"):])
-                continue
-            rows.append(line)
-        reader = csv.DictReader(rows)
-        for row in reader:
-            starts.append(_parse_timestamp_ms(row["interval_start"]))
-            counts.append(float(row["count"]))
-            o = (row.get("observable") or "").strip()
-            obs.append(float(o) if o else np.nan)
-    observable = np.asarray(obs) if obs and not np.all(np.isnan(obs)) else None
-    return ObservationSeries(
-        interval_start_ms=np.asarray(starts, dtype=np.int64),
-        counts=np.asarray(counts),
-        interval_seconds=float(meta.get("interval_seconds", 60.0)),
-        M=int(meta.get("M", 6000)),
-        observable=observable,
-        mapping=meta.get("mapping"),
-        counts_are_averaged=bool(meta.get("counts_are_averaged", False)),
-        n_dropped=int(meta.get("n_dropped", 0)),
-    )
 
 
 @dataclass(frozen=True)

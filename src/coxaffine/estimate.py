@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import optimize, stats
 
-from ._backend import BACKEND, bind_loglik, filter_kernel
+from ._backend import bind_loglik, filter_kernel
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream
@@ -153,7 +153,6 @@ class EstimationResult:
     converged: bool
     diagnostics: LjungBoxReport
     n_obs: int
-    backend: str = BACKEND
 
     def as_dict(self) -> dict:
         return {
@@ -168,7 +167,6 @@ class EstimationResult:
             "converged": self.converged,
             "ljung_box": self.diagnostics.rows(),
             "n_obs": self.n_obs,
-            "backend": self.backend,
         }
 
 
@@ -183,10 +181,16 @@ class FitOptions:
 
 
 def _observable(obs) -> np.ndarray:
+    """The observations as a float array; raises ValueError on a missing
+    observable or on non-finite data, naming the first offending index."""
     y = getattr(obs, "observable", obs)
     if y is None:
         raise ValueError("observation series has no observable values; run to_observable first")
-    return np.ascontiguousarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ValueError(f"non-finite observation at index {int(np.argmax(bad))}")
+    return y
 
 
 class _Rates(NamedTuple):
@@ -258,9 +262,6 @@ def kalman_filter(
     y = _observable(obs)
     if y.size == 0:
         raise ValueError("observation series is empty")
-    bad = ~np.isfinite(y)
-    if bad.any():
-        raise ValueError(f"non-finite observation at index {int(np.argmax(bad))}")
     coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, R, spec)
     pm, pv, fm, fv, innov, ivar = out = tuple(np.empty(y.size) for _ in range(6))
     ll, err = filter_kernel(y, *coeffs, *out)
@@ -329,6 +330,7 @@ def fit(
     with a derivative-free simplex search and ``options.n_restarts`` random
     restarts around the initial point; the flooring in the filter makes the
     objective only piecewise smooth, which rules out gradient methods.
+    Raises ValueError on non-finite data, with the offending index.
     """
     y = _observable(obs)
     if y.size < options.min_obs:

@@ -16,10 +16,9 @@ bit-identical no matter how the blocks are scheduled across workers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,8 +35,6 @@ __all__ = [
     "simulate_arrivals",
     "monte_carlo_pmf",
     "euler_affine_path",
-    "path_to_csv",
-    "arrivals_to_csv",
 ]
 
 # paths per vectorized block; fixed so aggregates are schedule-independent
@@ -271,6 +268,44 @@ def _window_hazard(
     return hazard
 
 
+def _averaged_conditional_pmf(
+    model: FellerModel,
+    launch: Callable[[np.random.Generator, int], np.ndarray],
+    n_paths: int,
+    window: float,
+    n_steps: int,
+    k_max: int,
+    rng: RngStream,
+):
+    """Mean and standard error of the conditional Poisson pmf, k = 0..k_max,
+    over ``n_paths`` simulated window hazards.
+
+    Block ``i`` of ``BLOCK_SIZE`` paths draws from ``rng.spawn(i)``:
+    ``launch(gen, nb)`` returns its ``nb`` starting intensities, then
+    ``_window_hazard`` advances them across the window on the same
+    generator.  Block sums are reduced in index order, so the result is
+    bit-identical for any scheduling of the blocks.
+    """
+    sums = np.zeros(k_max + 1)
+    sumsq = np.zeros(k_max + 1)
+    n_done = 0
+    block_id = 0
+    while n_done < n_paths:
+        nb = min(BLOCK_SIZE, n_paths - n_done)
+        gen = rng.spawn(block_id).generator()
+        hazard = _window_hazard(model, launch(gen, nb), window, n_steps, gen)
+        pk = np.exp(-hazard)
+        for k in range(k_max + 1):
+            sums[k] += pk.sum()
+            sumsq[k] += (pk * pk).sum()
+            pk = pk * hazard / (k + 1)
+        n_done += nb
+        block_id += 1
+    phat = sums / n_paths
+    var_hat = np.clip(sumsq / n_paths - phat**2, 0.0, None)
+    return phat, np.sqrt(var_hat / n_paths)
+
+
 @dataclass(frozen=True)
 class MonteCarloPmf:
     """Monte Carlo count pmf with per-k standard errors."""
@@ -316,26 +351,9 @@ def monte_carlo_pmf(
     if n_steps is None:
         n_steps = default_n_steps(model, horizon)
 
-    sums = np.zeros(k_max + 1)
-    sumsq = np.zeros(k_max + 1)
-    n_done = 0
-    block_id = 0
-    while n_done < n_paths:
-        nb = min(BLOCK_SIZE, n_paths - n_done)
-        gen = rng.spawn(block_id).generator()
-        lam0 = np.full(nb, model.lambda0)
-        hazard = _window_hazard(model, lam0, horizon, n_steps, gen)
-        pk = np.exp(-hazard)
-        for k in range(k_max + 1):
-            sums[k] += pk.sum()
-            sumsq[k] += (pk * pk).sum()
-            pk = pk * hazard / (k + 1)
-        n_done += nb
-        block_id += 1
-
-    phat = sums / n_paths
-    var_hat = np.clip(sumsq / n_paths - phat**2, 0.0, None)
-    se = np.sqrt(var_hat / n_paths)
+    phat, se = _averaged_conditional_pmf(
+        model, lambda gen, nb: np.full(nb, model.lambda0), n_paths, horizon, n_steps, k_max, rng
+    )
     pmf_est = CountPmf(
         probs=phat, horizon=float(horizon), tail_bound=max(0.0, 1.0 - float(phat.sum()))
     )
@@ -379,22 +397,3 @@ def euler_affine_path(
     lam_pos = np.clip(lam, 0.0, None)
     ch = np.concatenate([[0.0], np.cumsum(0.5 * h * (lam_pos[1:] + lam_pos[:-1]))])
     return PathSample(grid=grid, intensity=lam_pos, cum_hazard=ch, states=states)
-
-
-def path_to_csv(path: PathSample, fh, header_comment: str = None) -> None:
-    """Write columns t, lambda, cum_hazard (repr-exact floats)."""
-    w = csv.writer(fh)
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    w.writerow(["t", "lambda", "cum_hazard"])
-    for t, lam, ch in zip(path.grid, path.intensity, path.cum_hazard):
-        w.writerow([repr(float(t)), repr(float(lam)), repr(float(ch))])
-
-
-def arrivals_to_csv(arrivals: np.ndarray, fh, header_comment: str = None) -> None:
-    w = csv.writer(fh)
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    w.writerow(["arrival_time"])
-    for t in np.asarray(arrivals, dtype=float):
-        w.writerow([repr(float(t))])

@@ -4,8 +4,10 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from coxaffine import RngStream, default_n_steps, load_model, simulate_arrivals, simulate_path
 from coxaffine.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -46,6 +48,25 @@ class TestSimulate:
         cfg = read_config_line(str(tmp_path / "run" / "path.csv"))
         assert cfg == read_config_line(str(tmp_path / "run" / "arrivals.csv"))
         assert "jobs" not in cfg
+
+    def test_csv_floats_round_trip_exactly(self, tmp_path):
+        model = write_model(tmp_path, UNIT_MODEL)
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", model, "--out", str(out), "--seed", "7", "--len", "5"]) == 0
+        rng = RngStream(7)
+        m = load_model(model)
+        path = simulate_path(m, 5.0, default_n_steps(m, 5.0), rng.spawn(0))
+        arrivals = simulate_arrivals(path, rng.spawn(1))
+
+        def body(name):
+            lines = (out / name).read_text().splitlines()[2:]
+            return np.array([[float(x) for x in ln.split(",")] for ln in lines]).reshape(len(lines), -1)
+
+        columns = body("path.csv")
+        for j, expected in enumerate((path.grid, path.intensity, path.cum_hazard)):
+            assert columns[:, j].tobytes() == expected.tobytes()
+        assert arrivals.size > 0
+        assert body("arrivals.csv")[:, 0].tobytes() == arrivals.tobytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         model = write_model(tmp_path, UNIT_MODEL)

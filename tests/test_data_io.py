@@ -15,9 +15,7 @@ from coxaffine import (
     aggregate,
     load_events,
     load_pipeline_config,
-    load_series,
     save_events,
-    save_series,
     to_observable,
 )
 
@@ -39,17 +37,6 @@ class TestEventLog:
             EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=("buy",))
         with pytest.raises(ValueError, match="side tags"):
             EventLog(timestamps_ms=np.array([1], dtype=np.int64), side=("short",))
-
-    def test_filter_side(self):
-        log = EventLog(
-            timestamps_ms=np.array([1, 2, 3], dtype=np.int64),
-            side=("buy", "sell", "buy"),
-            instrument="X",
-        )
-        buys = log.filter_side("buy")
-        assert list(buys.timestamps_ms) == [1, 3]
-        assert buys.side == ("buy", "buy")
-        assert buys.instrument == "X"
 
 
 class TestLoadSave:
@@ -160,6 +147,26 @@ class TestAggregate:
         assert list(series.counts) == [1.0, 0.0, 0.5]
         assert series.counts_are_averaged
 
+    def test_matches_per_day_loop(self):
+        # reference: one bincount per day, over days with gaps between them
+        gen = np.random.default_rng(11)
+        days = np.array([3, 4, 9, 10, 30])
+        stamps = np.sort(
+            gen.choice(days, 2000) * DAY_MS + gen.integers(9 * 3_600_000, 19 * 3_600_000, 2000)
+        )
+        log = EventLog(timestamps_ms=stamps)
+        sessions = (time(10, 0), time(18, 0))
+        tod = stamps % DAY_MS - 10 * 3_600_000
+        keep = (tod >= 0) & (tod < 8 * 3_600_000)
+        day, bins = stamps[keep] // DAY_MS, tod[keep] // 60_000
+        per_day = np.zeros((days.size, 480))
+        for i, d in enumerate(days):
+            per_day[i] = np.bincount(bins[day == d], minlength=480)
+        pooled = aggregate(log, sessions=sessions)
+        assert pooled.counts.tobytes() == per_day.reshape(-1).tobytes()
+        averaged = aggregate(log, sessions=sessions, average_days=True)
+        assert averaged.counts.tobytes() == per_day.mean(axis=0).tobytes()
+
     def test_trailing_remainder_dropped(self):
         # 10:00 to 10:01 in 7 s bins: 8 full bins cover 56 s, so an event in
         # the final 4 s belongs to no bin
@@ -227,43 +234,6 @@ class TestToObservable:
             to_observable(self.series([1]), M=0)
         with pytest.raises(ValueError, match="mapping"):
             to_observable(self.series([1]), mapping="sqrt")
-
-
-class TestSeriesIO:
-    def test_roundtrip_with_observable(self, tmp_path):
-        log = load_events(SPARSE)
-        series = to_observable(aggregate(log), mapping="no_arrival_log")
-        p = tmp_path / "series.csv"
-        save_series(series, p, header_comment="demo")
-        back = load_series(p)
-        assert np.array_equal(back.interval_start_ms, series.interval_start_ms)
-        assert np.array_equal(back.counts, series.counts)
-        assert np.array_equal(back.observable, series.observable)
-        assert back.mapping == "no_arrival_log"
-        assert back.M == series.M
-        assert back.interval_seconds == series.interval_seconds
-
-    def test_roundtrip_counts_only(self, tmp_path):
-        series = ObservationSeries(
-            interval_start_ms=np.array([ms_at(3, 10, 0)], dtype=np.int64),
-            counts=np.array([4.0]),
-        )
-        p = tmp_path / "series.csv"
-        save_series(series, p)
-        back = load_series(p)
-        assert back.observable is None
-        assert back.counts[0] == 4.0
-
-    def test_roundtrip_averaged_counts(self, tmp_path):
-        series = ObservationSeries(
-            interval_start_ms=np.array([ms_at(3, 10, 0)], dtype=np.int64),
-            counts=np.array([0.5]),
-            counts_are_averaged=True,
-        )
-        p = tmp_path / "series.csv"
-        save_series(series, p)
-        back = load_series(p)
-        assert back.counts[0] == 0.5 and back.counts_are_averaged
 
 
 class TestPipelineConfig:

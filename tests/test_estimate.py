@@ -16,10 +16,13 @@ from scipy import stats
 
 from coxaffine import (
     EstimationError,
+    EstimationResult,
     FellerModel,
     FitOptions,
+    LjungBoxReport,
     RngStream,
     StateSpaceSpec,
+    StdErrorReport,
     fit,
     kalman_filter,
     ljung_box,
@@ -193,6 +196,35 @@ class TestFit:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError, match="observations"):
             fit(np.full(10, -0.01), StateSpaceSpec(window=0.01))
+
+    def test_non_finite_observation_named(self):
+        y, spec = self.make_series(30)
+        y[7] = np.nan
+        for call in (
+            lambda: fit(y, spec),
+            lambda: fit(y, spec, init=DESK),
+            lambda: std_errors(DESK, 1e-3, y, spec),
+        ):
+            with pytest.raises(ValueError, match="non-finite observation at index 7"):
+                call()
+
+    def test_result_dict_holds_only_results(self):
+        # estimate.json is byte-identical across kernel backends, so the
+        # result carries no execution details such as the backend name
+        res = EstimationResult(
+            params=DESK,
+            R=1e-3,
+            std_errors=StdErrorReport(kappa=0.1, theta=0.01, sigma=0.02, R=1e-4),
+            loglik=1.0,
+            converged=True,
+            diagnostics=LjungBoxReport(
+                lags=(5,), statistics=np.array([1.0]), p_values=np.array([0.9])
+            ),
+            n_obs=30,
+        )
+        doc = res.as_dict()
+        assert "backend" not in doc
+        assert set(doc) == {"estimates", "std_errors", "loglik", "converged", "ljung_box", "n_obs"}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

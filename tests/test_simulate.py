@@ -1,6 +1,5 @@
 """Exact transitions, path simulation, time-change arrivals, reproducibility."""
 
-import io
 import math
 
 import numpy as np
@@ -11,11 +10,9 @@ from coxaffine import (
     FellerModel,
     PathSample,
     RngStream,
-    arrivals_to_csv,
     euler_affine_path,
     mean_count,
     monte_carlo_pmf,
-    path_to_csv,
     prob_no_arrival,
     sample_cir_transition,
     simulate_arrivals,
@@ -287,21 +284,3 @@ class TestEulerPath:
         p = euler_affine_path(model, np.array([1.0]), 2.0, 500, RngStream(14))
         assert np.all(p.intensity >= 0.0)
         assert np.all(np.diff(p.cum_hazard) >= 0.0)
-
-
-class TestCsvExport:
-    def test_path_roundtrip_exact(self):
-        p = simulate_path(BASE, 1.0, n_steps=10, rng=RngStream(15))
-        buf = io.StringIO()
-        path_to_csv(p, buf, header_comment="cfg")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# cfg"
-        assert lines[1] == "t,lambda,cum_hazard"
-        body = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
-        assert np.array_equal(body[:, 1], p.intensity)
-        assert np.array_equal(body[:, 2], p.cum_hazard)
-
-    def test_arrivals_export(self):
-        buf = io.StringIO()
-        arrivals_to_csv(np.array([0.125, 0.25]), buf)
-        assert buf.getvalue().splitlines() == ["arrival_time", "0.125", "0.25"]
