@@ -1,36 +1,58 @@
-"""Filter kernel selection.
+"""The scalar Kalman recursion: the one filter kernel of the package.
 
-The compiled kernel is used when the extension imports; otherwise the
-pure-Python reference kernel runs instead.  Both produce identical numbers.
-
-``bind_loglik(y)`` binds one observation series, held in the form the kernel
-runs fastest on, and returns ``loglik(a, b, q0, q1, d, c, r2, m0, p0)`` ->
-``(loglik, err_index)`` with the bits of a full ``filter_kernel`` pass.  The
-pure-Python backend runs the loglik-only ``filter_loglik`` over ``y.tolist()``;
-the compiled backend runs ``filter_kernel`` into six scratch arrays allocated
-once per series.
+``filter_kernel`` runs over a sequence of Python floats (``y.tolist()``),
+where every step is plain float arithmetic.  The QML objective calls it
+without ``steps`` for the loglik alone; ``kalman_filter`` passes a list to
+collect the per-step quantities.  Both get the same loglik bits.  A compiled
+twin would have to honour the same contract, operation order included.
 """
 
-import numpy as np
+import math
 
-try:
-    from ._filter_core import BACKEND, filter_kernel
-except ImportError:
-    from ._filter_py import BACKEND, filter_kernel
+_LOG_2PI = math.log(2.0 * math.pi)
 
-if BACKEND == "python":
-    from ._filter_py import filter_loglik
-
-    def bind_loglik(y):
-        ys = np.asarray(y, dtype=float).tolist()
-        return lambda *coeffs: filter_loglik(ys, *coeffs)
-
-else:
-
-    def bind_loglik(y):
-        y = np.ascontiguousarray(y, dtype=float)
-        scratch = tuple(np.empty(y.shape[0]) for _ in range(6))
-        return lambda *coeffs: filter_kernel(y, *coeffs, *scratch)
+BACKEND = "python"
 
 
-__all__ = ["filter_kernel", "bind_loglik", "BACKEND"]
+def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
+    """One filtering pass of the linear state space
+
+        state:       lam_t = a lam_{t-1} + b + w_t,  Var(w_t) = q0 + q1 * filtered_{t-1}
+        measurement: y_t   = d + c lam_t + v_t,      Var(v_t) = r2
+
+    with the filtered mean floored at zero (the state is an intensity).
+    The first observation is filtered against the prior (m0, p0) directly.
+    Returns (loglik, err_index); err_index is -1 on success or the first
+    index where the innovation variance was not positive, and loglik is then
+    NaN.  When ``steps`` is a list, each completed step appends
+    ``(predicted_mean, predicted_var, filtered_mean, filtered_var,
+    innovation, innovation_var)`` to it.
+    """
+    log = math.log
+    ll = 0.0
+    m = m0
+    p = p0
+    for t, yt in enumerate(y):
+        if t > 0:
+            q = q0 + q1 * m
+            mp = a * m + b
+            pp = a * a * p + q
+        else:
+            mp = m0
+            pp = p0
+        v = yt - (d + c * mp)
+        s = c * c * pp + r2
+        if not (s > 0.0) or s != s:
+            return math.nan, t
+        k = pp * c / s
+        m = mp + k * v
+        if m < 0.0:
+            m = 0.0
+        p = (1.0 - k * c) * pp
+        if steps is not None:
+            steps.append((mp, pp, m, p, v, s))
+        ll += -0.5 * (_LOG_2PI + log(s) + v * v / s)
+    return ll, -1
+
+
+__all__ = ["filter_kernel", "BACKEND"]

@@ -284,6 +284,8 @@ def distance_to_stationary(
 
     if start not in ("fixed", "stationary"):
         raise ValueError(f"start must be 'fixed' or 'stationary', got {start!r}")
+    if not isinstance(rng, sim.RngStream):
+        raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     nb = stationary_count(model, window)
     # truncation point with negligible stationary tail

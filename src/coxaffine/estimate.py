@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import optimize, stats
 
-from ._backend import bind_loglik, filter_kernel
+from ._backend import filter_kernel
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream
@@ -263,10 +263,12 @@ def kalman_filter(
     if y.size == 0:
         raise ValueError("observation series is empty")
     coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, R, spec)
-    pm, pv, fm, fv, innov, ivar = out = tuple(np.empty(y.size) for _ in range(6))
-    ll, err = filter_kernel(y, *coeffs, *out)
+    steps = []
+    ll, err = filter_kernel(y.tolist(), *coeffs, steps)
     if err >= 0:
         raise ArithmeticError(f"innovation variance not positive at step {err}")
+    # Fortran order keeps each of the six per-step columns contiguous
+    pm, pv, fm, fv, innov, ivar = np.array(steps, order="F").T
     resid = innov / np.sqrt(ivar)
     return FilterOutput(
         predicted_mean=pm,
@@ -293,20 +295,21 @@ _PENALTY = 1e12
 def _objective(y: np.ndarray, spec: StateSpaceSpec):
     """Negative quasi log-likelihood over log-parameters, bound to one series.
 
-    Each evaluation maps x to coefficients as floats and runs the backend's
-    loglik-only pass; the value equals ``-kalman_filter(...).loglik`` bit for
-    bit.  Points outside |x| <= 50, and points where the filter fails, score
-    ``_PENALTY``.  Inside the box exp(x) is finite and positive, so the
-    parameters need no ``FellerModel`` validation.
+    Each evaluation maps x to coefficients as floats and runs the filter
+    kernel over ``y.tolist()`` without per-step output; the value equals
+    ``-kalman_filter(...).loglik`` bit for bit.  Points outside |x| <= 50, and
+    points where the filter fails, score ``_PENALTY``.  Inside the box exp(x)
+    is finite and positive, so the parameters need no ``FellerModel``
+    validation.
     """
-    loglik = bind_loglik(y)
+    ys = y.tolist()
 
     def neg_loglik(x: np.ndarray) -> float:
         if any(abs(v) > 50.0 for v in x.tolist()):
             return _PENALTY
         kappa, theta, sigma, R = np.exp(x).tolist()
         try:
-            ll, err = loglik(*_filter_coeffs(kappa, theta, sigma, R, spec))
+            ll, err = filter_kernel(ys, *_filter_coeffs(kappa, theta, sigma, R, spec))
         except (ValueError, OverflowError):  # math domain and range errors
             return _PENALTY
         if err >= 0 or not math.isfinite(ll):

@@ -286,3 +286,7 @@ class TestApproachToStationarity:
     def test_start_validation(self):
         with pytest.raises(ValueError):
             distance_to_stationary(BASE, [0.0], 100, RngStream(0), start="warm")
+
+    def test_rng_must_be_a_stream(self):
+        with pytest.raises(TypeError, match="requires an RngStream"):
+            distance_to_stationary(BASE, [0.0], 100, np.random.default_rng(0))

@@ -1,9 +1,10 @@
-"""Bitwise parity of the filter passes.
+"""Bitwise parity of the filter kernel with and without per-step output.
 
-The QML objective runs a loglik-only pass; every other caller runs the full
-kernel.  Both must give the same loglik bits and the same err_index on any
-input, including a binding zero floor, a nonpositive innovation variance
-and NaN data, and on either backend.
+The QML objective runs ``filter_kernel`` without ``steps``; ``kalman_filter``
+passes a list to collect the per-step quantities.  Both must give the same
+loglik bits and the same err_index on any input, including a binding zero
+floor, a nonpositive innovation variance and NaN data.  The objective must
+call the kernel through ``estimate.filter_kernel``, where a tracer can see it.
 """
 
 import math
@@ -13,13 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxaffine import FellerModel, RngStream, StateSpaceSpec, kalman_filter
-from coxaffine import _backend, _filter_py, estimate
-
-try:
-    from coxaffine import _filter_core
-except ImportError:
-    _filter_core = None
+from coxaffine import FellerModel, FitOptions, RngStream, StateSpaceSpec, kalman_filter
+from coxaffine import estimate
+from coxaffine._backend import filter_kernel
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -43,21 +40,19 @@ def same_bits(x, y):
     return (math.isnan(x) and math.isnan(y)) or float(x).hex() == float(y).hex()
 
 
-def full_pass(kernel, y, args):
-    y = np.ascontiguousarray(y, dtype=float)
-    out = tuple(np.empty(y.size) for _ in range(6))
-    return kernel(y, *args, *out)
+def full_pass(y, args):
+    steps = []
+    ll, err = filter_kernel([float(v) for v in y], *args, steps)
+    assert len(steps) == (len(y) if err < 0 else err)
+    return ll, err, steps
 
 
 def assert_parity(y, args):
-    ll_full, err_full = full_pass(_filter_py.filter_kernel, y, args)
+    ll_full, err_full, _ = full_pass(y, args)
     for yy in (list(map(float, y)), np.asarray(y, dtype=float)):
-        ll, err = _filter_py.filter_loglik(yy, *args)
+        ll, err = filter_kernel(yy, *args)
         assert err == err_full
         assert same_bits(ll, ll_full)
-    ll, err = _backend.bind_loglik(np.asarray(y, dtype=float))(*args)
-    assert err == err_full
-    assert same_bits(ll, ll_full)
 
 
 @SETTINGS
@@ -84,16 +79,15 @@ def test_loglik_pass_matches_full_kernel(y, args):
     ],
 )
 def test_edge_cases(y, args, err):
-    assert full_pass(_filter_py.filter_kernel, y, args)[1] == err
+    assert full_pass(y, args)[1] == err
     assert_parity(y, args)
 
 
 def test_floor_binds_in_the_loglik_pass():
     y = [-4.0, 5.0]
     args = (0.6, 0.4, 0.01, 0.02, 0.0, 1.0, 0.1, 1.0, 0.5)
-    out = tuple(np.empty(2) for _ in range(6))
-    _filter_py.filter_kernel(np.array(y), *args, *out)
-    assert out[2][0] == 0.0  # filtered mean floored at step 0
+    steps = full_pass(y, args)[2]
+    assert steps[0][2] == 0.0  # filtered mean floored at step 0
     assert_parity(y, args)
 
 
@@ -131,11 +125,32 @@ def test_objective_penalizes_outside_the_box_and_on_failure():
     assert objective(np.zeros(4)) == estimate._PENALTY  # NaN loglik
 
 
-@pytest.mark.skipif(_filter_core is None, reason="compiled kernel not built")
-@SETTINGS
-@given(st.lists(obs, min_size=1, max_size=40), coeffs)
-def test_compiled_kernel_matches(y, args):
-    ll_c, err_c = full_pass(_filter_core.filter_kernel, y, args)
-    ll_p, err_p = _filter_py.filter_loglik(list(map(float, y)), *args)
-    assert err_c == err_p
-    assert same_bits(ll_c, ll_p)
+class CountingKernel:
+    """Stands in for ``estimate.filter_kernel`` and counts its two kinds of call."""
+
+    def __init__(self):
+        self.loglik_only = 0
+        self.full = 0
+
+    def __call__(self, *args):
+        if len(args) > 10:
+            self.full += 1
+        else:
+            self.loglik_only += 1
+        return filter_kernel(*args)
+
+
+def test_objective_calls_the_module_kernel(monkeypatch):
+    spec = StateSpaceSpec(delta=1.0, window=1.0)
+    y = estimate.simulate_observations(DESK, 1e-3, spec, 100, RngStream(5))
+    counter = CountingKernel()
+    monkeypatch.setattr(estimate, "filter_kernel", counter)
+    estimate.std_errors(DESK, 1e-3, y, spec)
+    # one central point, 2 per diagonal and 4 per off-diagonal Hessian entry
+    assert (counter.loglik_only, counter.full) == (1 + 2 * 4 + 4 * 6, 0)
+
+    counter = CountingKernel()
+    monkeypatch.setattr(estimate, "filter_kernel", counter)
+    estimate.fit(y, spec, init=DESK, options=FitOptions(n_restarts=0, maxiter=50))
+    assert counter.loglik_only > 33  # optimizer and standard errors
+    assert counter.full == 1  # the residuals of the final kalman_filter
