@@ -20,6 +20,7 @@ from datetime import datetime, time, timedelta, timezone
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "EventLog",
@@ -36,6 +37,16 @@ _EPOCH = datetime(1970, 1, 1)
 _MS = timedelta(milliseconds=1)
 _DAY_MS = 86_400_000
 _SIDES = ("", "buy", "sell")
+_SIDE_CODE = {tag: c for c, tag in enumerate(_SIDES)}
+# object dtype: every tag in a loaded log is one of these three strings, not a copy
+_SIDE_TAGS = np.array(_SIDES, dtype=object)
+_BLOCK_LINES = 65_536
+# the canonical timestamp YYYY-MM-DDTHH:MM:SS.mmm, by byte offset
+_TS_WIDTH = 23
+_TS_SEP_AT = [4, 7, 10, 13, 16, 19]
+_TS_SEP = np.frombuffer(b"--T::.", dtype=np.uint8)
+_TS_DIGIT_AT = [j for j in range(_TS_WIDTH) if j not in _TS_SEP_AT]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _OBS_MAPPINGS = ("frequency", "no_arrival_proxy", "no_arrival_log")
 
 
@@ -81,7 +92,7 @@ class EventLog:
         ts = np.ascontiguousarray(self.timestamps_ms, dtype=np.int64)
         ts.setflags(write=False)
         object.__setattr__(self, "timestamps_ms", ts)
-        side = tuple(self.side) if self.side else ("",) * ts.size
+        side = tuple(self.side) if len(self.side) else ("",) * ts.size
         object.__setattr__(self, "side", side)
         if len(side) != ts.size:
             raise ValueError(f"side has {len(side)} entries for {ts.size} timestamps")
@@ -98,51 +109,228 @@ class EventLog:
 def load_events(path, format: str = "csv") -> EventLog:
     """Read an event file with header ``timestamp,side,instrument``.
 
-    Rows whose timestamp does not parse as ISO-8601, or whose side tag is
-    not buy/sell/empty, are rejected and reported by line number.  Out of
-    order rows are sorted with a warning.  An empty file yields an empty log.
+    Rows whose timestamp does not parse, or whose side tag is not
+    buy/sell/empty after stripping and lower-casing, are rejected and
+    reported by line number.  The accepted timestamp forms are those of the
+    running Python's ``datetime.fromisoformat``: Python 3.10 rejects a ``Z``
+    suffix, 3.11 accepts it.  A timestamp with a UTC offset is converted to
+    UTC.  ``instrument`` is taken from the first accepted row that names one.
+    Out of order rows are sorted with a warning.  An empty file yields an
+    empty log.
+
+    The file is read whole, so memory grows with its size.  A row whose
+    timestamp is exactly ``YYYY-MM-DDTHH:MM:SS.mmm`` with calendar fields in
+    range and whose side is exactly ``buy``, ``sell`` or empty is parsed in
+    vectorized blocks; every other row goes through the row rules above.
+    A file that holds a ``"``, a non-ASCII or NUL byte, a lone carriage
+    return or a line longer than ``csv.field_size_limit()`` cannot be split
+    at newline bytes, and is read row by row with ``csv.DictReader``.
     """
     if format != "csv":
         raise ValueError(f"unsupported event format {format!r}")
-    stamps = []
-    sides = []
-    instrument = ""
-    rejected = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return EventLog(np.empty(0, dtype=np.int64))
-        if "timestamp" not in reader.fieldnames:
-            raise ValueError(f"{path}: missing required 'timestamp' column")
-        for row in reader:
-            line = reader.line_num
-            raw = row.get("timestamp") or ""
-            side = (row.get("side") or "").strip().lower()
-            try:
-                ms = _parse_timestamp_ms(raw)
-            except ValueError:
-                rejected.append(line)
-                continue
-            if side not in _SIDES:
-                rejected.append(line)
-                continue
-            stamps.append(ms)
-            sides.append(side)
-            if not instrument:
-                instrument = (row.get("instrument") or "").strip()
-    ts = np.asarray(stamps, dtype=np.int64)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        return EventLog(np.empty(0, dtype=np.int64))
+    lines = _line_bounds(data)
+    if lines is None:
+        del data
+        ts, codes, instrument, rejected = _read_rows(path)
+    else:
+        ts, codes, instrument, rejected = _read_lines(path, data, *lines)
     if ts.size > 1 and np.any(np.diff(ts) < 0):
         warnings.warn(f"{path}: events out of order; sorting", stacklevel=2)
         order = np.argsort(ts, kind="stable")
         ts = ts[order]
-        sides = [sides[i] for i in order]
+        codes = codes[order]
     return EventLog(
         timestamps_ms=ts,
-        side=tuple(sides),
+        side=tuple(_SIDE_TAGS[codes].tolist()),
         instrument=instrument,
         n_rejected=len(rejected),
         rejected_lines=tuple(rejected),
     )
+
+
+def _parse_row(stamp, side):
+    """The row rules: ``(ms, side)`` for an accepted row, None for a reject.
+
+    ``stamp`` and ``side`` are the raw field texts, None where the row has
+    no such column.
+    """
+    side = (side or "").strip().lower()
+    try:
+        ms = _parse_timestamp_ms(stamp or "")
+    except ValueError:
+        return None
+    if side not in _SIDES:
+        return None
+    return ms, side
+
+
+def _check_header(path, fieldnames) -> None:
+    if "timestamp" not in fieldnames:
+        raise ValueError(f"{path}: missing required 'timestamp' column")
+
+
+def _read_rows(path):
+    """Apply the row rules to every row, as split by ``csv.DictReader``."""
+    stamps = []
+    codes = []
+    instrument = ""
+    rejected = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        _check_header(path, reader.fieldnames)
+        for row in reader:
+            parsed = _parse_row(row.get("timestamp"), row.get("side"))
+            if parsed is None:
+                rejected.append(reader.line_num)
+                continue
+            stamps.append(parsed[0])
+            codes.append(_SIDE_CODE[parsed[1]])
+            if not instrument:
+                instrument = (row.get("instrument") or "").strip()
+    return np.array(stamps, dtype=np.int64), np.array(codes, dtype=np.int8), instrument, rejected
+
+
+def _line_bounds(data: bytes):
+    """Start and end byte offsets of each line, or None if ``csv`` must split the file.
+
+    A quoted field may hold a newline, a lone carriage return ends a line
+    for ``csv``, NUL and non-ASCII bytes decode or parse differently by
+    Python version and locale, and ``csv`` raises on a field longer than its
+    limit.  Ends exclude the newline and the carriage return of CRLF.
+    """
+    if (
+        not data.isascii()
+        or b'"' in data
+        or b"\0" in data
+        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+    ):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))
+    if data.endswith(b"\n"):
+        starts = starts[:-1]
+    else:
+        ends = np.append(ends, buf.size)
+    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    return starts, ends
+
+
+def _read_lines(path, data: bytes, starts: np.ndarray, ends: np.ndarray):
+    """Parse canonical rows in vectorized blocks and the rest by the row rules.
+
+    Field bounds come from the comma offsets of each block.  A column a row
+    lacks has empty bounds at the line end; the row rules read an empty
+    field as they read a missing one.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    header = data[starts[0] : ends[0]].decode("ascii")
+    fieldnames = header.split(",") if header else []
+    _check_header(path, fieldnames)
+    # a repeated name reads its last column, as in csv.DictReader
+    column = {name: k for k, name in enumerate(fieldnames)}
+    stamps = []
+    codes = []
+    instrument = ""
+    rejected = []
+    for lo in range(1, starts.size, _BLOCK_LINES):
+        s = starts[lo : lo + _BLOCK_LINES]
+        e = ends[lo : lo + _BLOCK_LINES]
+        commas = np.flatnonzero(buf[s[0] : e[-1]] == ord(",")) + s[0]
+        # the sentinel lies past every line, so take() never runs off the end
+        commas = np.append(commas, buf.size)
+        first = np.searchsorted(commas, s)
+        n_commas = np.searchsorted(commas, e) - first
+
+        def field(name):
+            k = column.get(name)
+            if k is None:
+                return e, e
+            fs = s if k == 0 else np.minimum(commas.take(first + k - 1, mode="clip") + 1, e)
+            return fs, np.where(n_commas > k, commas.take(first + k, mode="clip"), e)
+
+        ts_s, ts_e = field("timestamp")
+        side_s, side_e = field("side")
+        ms = np.zeros(s.size, dtype=np.int64)
+        ok = np.zeros(s.size, dtype=bool)
+        at = np.flatnonzero(ts_e - ts_s == _TS_WIDTH)
+        if at.size:
+            ok[at], ms[at] = _canonical_ms(sliding_window_view(buf, _TS_WIDTH)[ts_s[at]])
+        code = _canonical_side(buf, side_s, side_e)
+        ok &= code >= 0
+        for i in np.flatnonzero(~ok & (e > s)).tolist():
+            parsed = _parse_row(
+                data[ts_s[i] : ts_e[i]].decode("ascii"),
+                data[side_s[i] : side_e[i]].decode("ascii"),
+            )
+            if parsed is None:
+                rejected.append(lo + i + 1)
+                continue
+            ms[i] = parsed[0]
+            code[i] = _SIDE_CODE[parsed[1]]
+            ok[i] = True
+        if not instrument:
+            in_s, in_e = field("instrument")
+            for i in np.flatnonzero(ok & (in_e > in_s)).tolist():
+                instrument = data[in_s[i] : in_e[i]].decode("ascii").strip()
+                if instrument:
+                    break
+        stamps.append(ms[ok])
+        codes.append(code[ok])
+    if not stamps:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), instrument, rejected
+    return np.concatenate(stamps), np.concatenate(codes), instrument, rejected
+
+
+def _canonical_side(buf, fs, fe) -> np.ndarray:
+    """Side code of fields that are exactly a tag of ``_SIDES``, -1 for the rest."""
+    n = fe - fs
+    code = np.where(n == 0, 0, -1).astype(np.int8)
+    for c, tag in enumerate(_SIDES[1:], start=1):
+        at = np.flatnonzero(n == len(tag))
+        if at.size:
+            want = np.frombuffer(tag.encode("ascii"), dtype=np.uint8)
+            code[at[(sliding_window_view(buf, len(tag))[fs[at]] == want).all(axis=1)]] = c
+    return code
+
+
+def _canonical_ms(rows: np.ndarray):
+    """``(ok, ms)`` for timestamps given as rows of ``_TS_WIDTH`` bytes.
+
+    ``ok`` marks rows of the exact form ``YYYY-MM-DDTHH:MM:SS.mmm`` whose
+    year is at least 1, day exists in its month (leap years included), and
+    hour, minute and second are below 24, 60 and 60.  Their milliseconds
+    since the epoch come from integer days-from-civil arithmetic, equal to
+    what ``datetime.fromisoformat`` gives; ``ms`` is meaningless elsewhere.
+    """
+    ok = (rows[:, _TS_SEP_AT] == _TS_SEP).all(axis=1)
+    ok &= (rows[:, _TS_DIGIT_AT] - np.uint8(ord("0")) <= 9).all(axis=1)
+
+    def number(lo, hi):
+        v = np.zeros(rows.shape[0], dtype=np.int64)
+        for j in range(lo, hi):
+            v = v * 10 + (rows[:, j] - np.uint8(ord("0")))
+        return v
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second, milli = number(11, 13), number(14, 16), number(17, 19), number(20, 23)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    # days from 1970-01-01 in the proleptic Gregorian calendar, years from March
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+    return ok, (((days * 24 + hour) * 60 + minute) * 60 + second) * 1000 + milli
 
 
 def save_events(log: EventLog, path) -> None:

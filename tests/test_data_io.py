@@ -1,13 +1,19 @@
 """Event ingestion, session aggregation, observable construction."""
 
+import csv
 import json
 import math
 import os
-from datetime import time
+import warnings
+from datetime import datetime, time, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxaffine import data_io
 from coxaffine import (
     EventLog,
     ObservationSeries,
@@ -37,6 +43,15 @@ class TestEventLog:
             EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=("buy",))
         with pytest.raises(ValueError, match="side tags"):
             EventLog(timestamps_ms=np.array([1], dtype=np.int64), side=("short",))
+
+    @pytest.mark.parametrize("side", [np.array(["buy", "sell"]), ["buy", "sell"]])
+    def test_side_as_array_or_list(self, side):
+        log = EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=side)
+        assert log.side == ("buy", "sell")
+
+    def test_side_defaults_to_empty_tags(self):
+        log = EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=np.array([]))
+        assert log.side == ("", "")
 
 
 class TestLoadSave:
@@ -109,6 +124,212 @@ class TestLoadSave:
         )
         log = load_events(p)
         assert log.timestamps_ms[0] == log.timestamps_ms[1]
+
+
+_EPOCH = datetime(1970, 1, 1)
+
+
+def oracle_load_events(path):
+    """``load_events`` as it read every file before the vectorized pass.
+
+    Kept as the reference: one ``csv.DictReader`` row at a time through
+    ``datetime.fromisoformat``.
+    """
+    stamps = []
+    sides = []
+    instrument = ""
+    rejected = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return EventLog(np.empty(0, dtype=np.int64))
+        if "timestamp" not in reader.fieldnames:
+            raise ValueError(f"{path}: missing required 'timestamp' column")
+        for row in reader:
+            line = reader.line_num
+            raw = row.get("timestamp") or ""
+            side = (row.get("side") or "").strip().lower()
+            try:
+                dt = datetime.fromisoformat(raw.strip())
+                if dt.tzinfo is not None:
+                    dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+                ms = (dt - _EPOCH) // timedelta(milliseconds=1)
+            except ValueError:
+                rejected.append(line)
+                continue
+            if side not in ("", "buy", "sell"):
+                rejected.append(line)
+                continue
+            stamps.append(ms)
+            sides.append(side)
+            if not instrument:
+                instrument = (row.get("instrument") or "").strip()
+    ts = np.asarray(stamps, dtype=np.int64)
+    if ts.size > 1 and np.any(np.diff(ts) < 0):
+        warnings.warn(f"{path}: events out of order; sorting", stacklevel=2)
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+        sides = [sides[i] for i in order]
+    return EventLog(
+        timestamps_ms=ts,
+        side=tuple(sides),
+        instrument=instrument,
+        n_rejected=len(rejected),
+        rejected_lines=tuple(rejected),
+    )
+
+
+def outcome(load, path):
+    """Every field of the loaded log and every warning, or the error raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            log = load(path)
+        except ValueError as exc:  # UnicodeDecodeError included
+            return type(exc), str(exc)
+    fields = (
+        log.timestamps_ms.dtype,
+        log.timestamps_ms.tobytes(),
+        log.side,
+        log.instrument,
+        log.n_rejected,
+        log.rejected_lines,
+    )
+    return fields, [(w.category, str(w.message)) for w in caught]
+
+
+_T0 = datetime(2023, 1, 1)
+_SPECIAL_STAMPS = [
+    "2023-02-29T10:00:00.000",
+    "2024-02-29T10:00:00.000",
+    "2024-01-03T24:00:00.000",
+    "2024-01-03T10:00:60.000",
+    "1900-02-29T10:00:00.000",
+    "2000-02-29T10:00:00.000",
+    "2100-02-29T10:00:00.000",
+    "0000-01-01T00:00:00.000",
+    "0001-01-01T00:00:00.000",
+    "9999-12-31T23:59:59.999",
+    "2024-13-01T10:00:00.000",
+    "2024-01-03T10:00:00",
+    "2024-01-03T10:00:00.000000",
+    "2024/01/03T10:00:00.000",
+    "2024-01-03T10:0a:00.000",
+    "+024-01-03T10:00:00.000",
+    "not-a-time",
+    "",
+]
+
+
+@st.composite
+def stamps(draw):
+    origin, days = draw(st.sampled_from([(_T0, 2 * 366), (datetime(1, 1, 1), 9998 * 365)]))
+    at = origin + timedelta(milliseconds=draw(st.integers(0, days * 86_400_000)))
+    text = at.isoformat(timespec="milliseconds")
+    kind = draw(st.sampled_from(["canonical"] * 4 + ["offset", "Z", "space", "padded", "special"]))
+    if kind == "offset":
+        return (at + timedelta(hours=2)).isoformat(timespec="milliseconds") + "+02:00"
+    if kind == "Z":
+        return text + "Z"
+    if kind == "space":
+        return text.replace("T", " ")
+    if kind == "padded":
+        return f" {text} "
+    if kind == "special":
+        return draw(st.sampled_from(_SPECIAL_STAMPS))
+    return text
+
+
+_HEADERS = [
+    ["timestamp", "side", "instrument"],
+    ["timestamp", "side"],
+    ["side", "instrument", "timestamp"],
+    ["instrument", "timestamp", "side", "timestamp"],
+    ["time", "side"],
+]
+side_tags = st.sampled_from(
+    ["buy", "sell", "", "buy", "sell", "BUY", " sell", "Sell ", "x", " ", "hold"]
+)
+instruments = st.sampled_from(["SIM", "", "  ", " X ", "AB"])
+# rows that stop a file from being split at newline bytes
+_UNSAFE_ROWS = [
+    b'"2024-01-03T10:00:00.000",buy,SIM',
+    b'2024-01-03T10:00:00.000,buy,"A\nB"',
+    "2024-01-03T10:00:00.000,buy,\u00e9".encode(),
+    b"2024-01-03T10:00:00.000,buy,\xff",
+    b"2024-01-03T10:00:00.000,buy,S\x00M",
+    b"2024-01-03T10:00:00.000,buy,SIM\r2024-01-03T10:00:01.000,sell,SIM",
+]
+
+
+@st.composite
+def event_files(draw):
+    header = draw(st.sampled_from(_HEADERS))
+    lines = [",".join(header).encode()]
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["full"] * 6 + ["fewer", "extra", "blank"]))
+        if shape == "blank":
+            lines.append(b"")
+            continue
+        values = {
+            "timestamp": draw(stamps()),
+            "side": draw(side_tags),
+            "instrument": draw(instruments),
+        }
+        fields = [values.get(name, "x") for name in header]
+        if shape == "fewer":
+            fields = fields[: draw(st.integers(1, len(fields)))]
+        elif shape == "extra":
+            fields.append("x")
+        lines.append(",".join(fields).encode())
+    unsafe = draw(st.one_of(st.none(), st.sampled_from(_UNSAFE_ROWS + [b"\xef\xbb\xbf"])))
+    if unsafe is not None:
+        if unsafe.startswith(b"\xef\xbb\xbf"):
+            lines[0] = unsafe + lines[0]
+        else:
+            lines.insert(draw(st.integers(1, len(lines))), unsafe)
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, b""]))
+
+
+class TestIngestEquivalence:
+    """``load_events`` against the row-by-row reference on mixed files."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=event_files())
+    def test_matches_row_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ingest") / "events.csv"
+        path.write_bytes(data)
+        expected = outcome(oracle_load_events, path)
+        assert outcome(load_events, path) == expected
+        # blocks of two lines put block edges between every kind of row
+        with mock.patch.object(data_io, "_BLOCK_LINES", 2):
+            assert outcome(load_events, path) == expected
+
+    def test_fixtures(self):
+        for name in ("events_dense.csv", "events_sparse_535.csv"):
+            path = os.path.join(FIXTURES, name)
+            assert outcome(load_events, path) == outcome(oracle_load_events, path)
+
+    def test_offset_and_bad_rows_across_blocks(self, tmp_path):
+        # fallback rows on both sides of the block edge at line 65,537
+        gen = np.random.default_rng(5)
+        n = 70_000
+        ms = np.sort(gen.integers(0, 20 * DAY_MS, n)) + 19_700 * DAY_MS
+        text = np.datetime_as_string(ms.astype("datetime64[ms]"), unit="ms").tolist()
+        shifted = np.datetime_as_string((ms + 7_200_000).astype("datetime64[ms]"), unit="ms")
+        rows = [f"{t},{'buy' if i % 3 else 'sell'},SIM" for i, t in enumerate(text)]
+        for i in (0, 65_534, 65_535, 65_536, n - 1):
+            rows[i] = f"{shifted[i]}+02:00,sell,SIM"
+        for i in (1, 65_533, 65_537):
+            rows[i] = f"{text[i]},hold,SIM"
+        rows[65_538] = ""
+        path = tmp_path / "events.csv"
+        path.write_text("timestamp,side,instrument\n" + "\n".join(rows) + "\n")
+        log = load_events(path)
+        assert log.rejected_lines == (3, 65_535, 65_539)
+        assert len(log) == n - 4
+        assert outcome(load_events, path) == outcome(oracle_load_events, path)
 
 
 class TestAggregate:
