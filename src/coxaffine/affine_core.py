@@ -381,7 +381,6 @@ def laplace_hazard(
     mu: Scalar,
     horizon: float,
     x0=None,
-    tol: float = 1e-10,
 ) -> Scalar:
     """L(mu) = E[exp(-mu * integrated intensity)] over the horizon.
 
@@ -393,7 +392,7 @@ def laplace_hazard(
         tc = cir_transform_closed_form(model, mu, horizon)
         x0 = model.lambda0 if x0 is None else float(x0)
         return tc.laplace(x0)
-    tc = solve_transform_ode(model, mu, horizon, tol=tol)
+    tc = solve_transform_ode(model, mu, horizon)
     x0 = model.theta if x0 is None else np.asarray(x0, dtype=float)
     return tc.laplace(x0)
 
@@ -401,6 +400,8 @@ def laplace_hazard(
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
+
+_GAMMA_THRESHOLD = 6.0
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,6 @@ def _gaussian_factor_indices(model: AffineModel) -> list:
 def check_admissibility(
     model: AffineModel,
     boundary_points: Sequence = None,
-    gamma_threshold: float = 6.0,
 ) -> AdmissibilityReport:
     """Check drift-domination at volatility boundaries and state positivity.
 
@@ -446,8 +446,8 @@ def check_admissibility(
     Factors with constant volatility are Gaussian; their stationary law
     (mean from theta, covariance from the Lyapunov equation) gives the
     nonnegativity margin gamma = mean/sd, reported together with the
-    Gaussian lower-tail mass it leaves below zero.  ``gamma_threshold``
-    is the margin treated as numerically certain (Phi(6) = 1 - 1e-9).
+    Gaussian lower-tail mass it leaves below zero.  A margin of at least 6
+    passes: it is treated as numerically certain (Phi(6) = 1 - 1e-9).
     """
     if isinstance(model, FellerModel):
         model = model.as_affine()
@@ -540,7 +540,7 @@ def check_admissibility(
             gamma = mu_d / sd
             b_gamma = min(b_gamma, gamma)
             below = norm.sf(gamma)
-            if gamma >= gamma_threshold:
+            if gamma >= _GAMMA_THRESHOLD:
                 messages.append(
                     f"factor {i}: Gaussian margin gamma={gamma:.3f} "
                     f"(mass below zero {below:.3g})"
@@ -549,7 +549,7 @@ def check_admissibility(
                 b_ok = False
                 messages.append(
                     f"factor {i}: Gaussian margin gamma={gamma:.3f} below "
-                    f"threshold {gamma_threshold} (mass below zero {below:.3g})"
+                    f"threshold {_GAMMA_THRESHOLD} (mass below zero {below:.3g})"
                 )
     return AdmissibilityReport(
         condition_a_ok=tuple(a_ok),

@@ -175,7 +175,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         R_init=max(0.5 * float(np.std(y)), 1e-6),
         rng=RngStream(args.seed),
     )
-    filt = estimate.kalman_filter(result.params, result.R, y, spec)
+    filt = result.filter_output
 
     payload = result.as_dict()
     payload["config"] = cfg
@@ -198,16 +198,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         ["index", "standardized_residual"],
         enumerate(filt.standardized_residuals),
     )
-    p = result.params
-    coeffs = estimate._filter_coeffs(p.kappa, p.theta, p.sigma, result.R, spec)
     _write_csv(
         os.path.join(args.out, "fitted_vs_observed.csv"),
         cfg,
         ["index", "observed", "one_step_fit", "filtered_intensity"],
-        (
-            (t, y[t], coeffs.d + coeffs.c * filt.predicted_mean[t], filt.filtered_mean[t])
-            for t in range(y.size)
-        ),
+        zip(range(y.size), y, filt.one_step_fit, filt.filtered_mean),
     )
     _write_csv(
         os.path.join(args.out, "ljung_box.csv"),
@@ -292,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
 
     p_sim = sub.add_parser("simulate", help="simulate an intensity path and its arrivals")
     common(p_sim, needs_model=True)
@@ -312,6 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_val, needs_model=True)
     p_val.add_argument("--reps", type=int, default=None, help="number of replications (default 100)")
     p_val.add_argument("--len", type=float, default=None, help="series length (default 500)")
+    p_val.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     return parser
 
 

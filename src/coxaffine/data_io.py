@@ -106,17 +106,18 @@ class EventLog:
         return int(self.timestamps_ms.size)
 
 
-def load_events(path, format: str = "csv") -> EventLog:
-    """Read an event file with header ``timestamp,side,instrument``.
+def load_events(path) -> EventLog:
+    """Read a CSV event file with header ``timestamp,side,instrument``.
 
-    Rows whose timestamp does not parse, or whose side tag is not
-    buy/sell/empty after stripping and lower-casing, are rejected and
-    reported by line number.  The accepted timestamp forms are those of the
-    running Python's ``datetime.fromisoformat``: Python 3.10 rejects a ``Z``
-    suffix, 3.11 accepts it.  A timestamp with a UTC offset is converted to
-    UTC.  ``instrument`` is taken from the first accepted row that names one.
-    Out of order rows are sorted with a warning.  An empty file yields an
-    empty log.
+    The file is UTF-8; a leading byte order mark is skipped.  Rows whose
+    timestamp does not parse, or falls outside years 1-9999 once converted
+    to UTC, or whose side tag is not buy/sell/empty after stripping and
+    lower-casing, are rejected and reported by line number.  The accepted
+    timestamp forms are those of the running Python's
+    ``datetime.fromisoformat``: Python 3.10 rejects a ``Z`` suffix, 3.11
+    accepts it.  ``instrument`` is taken from the first accepted row that
+    names one.  Out of order rows are sorted with a warning.  An empty file
+    yields an empty log.
 
     The file is read whole, so memory grows with its size.  A row whose
     timestamp is exactly ``YYYY-MM-DDTHH:MM:SS.mmm`` with calendar fields in
@@ -126,8 +127,6 @@ def load_events(path, format: str = "csv") -> EventLog:
     return or a line longer than ``csv.field_size_limit()`` cannot be split
     at newline bytes, and is read row by row with ``csv.DictReader``.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported event format {format!r}")
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
@@ -161,7 +160,7 @@ def _parse_row(stamp, side):
     side = (side or "").strip().lower()
     try:
         ms = _parse_timestamp_ms(stamp or "")
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: UTC is outside years 1-9999
         return None
     if side not in _SIDES:
         return None
@@ -179,9 +178,10 @@ def _read_rows(path):
     codes = []
     instrument = ""
     rejected = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        _check_header(path, reader.fieldnames)
+        if reader.fieldnames is not None:  # None: the file is only a byte order mark
+            _check_header(path, reader.fieldnames)
         for row in reader:
             parsed = _parse_row(row.get("timestamp"), row.get("side"))
             if parsed is None:
@@ -198,9 +198,9 @@ def _line_bounds(data: bytes):
     """Start and end byte offsets of each line, or None if ``csv`` must split the file.
 
     A quoted field may hold a newline, a lone carriage return ends a line
-    for ``csv``, NUL and non-ASCII bytes decode or parse differently by
-    Python version and locale, and ``csv`` raises on a field longer than its
-    limit.  Ends exclude the newline and the carriage return of CRLF.
+    for ``csv``, non-ASCII bytes need UTF-8 decoding, NUL bytes parse
+    differently by Python version, and ``csv`` raises on a field longer than
+    its limit.  Ends exclude the newline and the carriage return of CRLF.
     """
     if (
         not data.isascii()

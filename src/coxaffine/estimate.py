@@ -50,6 +50,13 @@ __all__ = [
 ]
 
 _MAPPINGS = ("log_prob_no_arrival", "prob_no_arrival", "direct_state")
+_PARAM_NAMES = ("kappa", "theta", "sigma", "R")
+_MIN_OBS = 20
+_PERTURB_SCALE = 0.7  # restart offsets in log-parameters, times a standard normal
+_XATOL = 1e-8  # Nelder-Mead stopping tolerances
+_FATOL = 1e-10
+_REL_STEP = 1e-4  # Hessian step relative to max(1, |x|)
+_LB_ALPHA = 0.05  # Ljung-Box level
 
 
 class EstimationError(RuntimeError):
@@ -94,7 +101,7 @@ class StateSpaceSpec:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Per-step filter quantities and the quasi log-likelihood."""
+    """Per-step filter quantities, one_step_fit = d + c * predicted_mean, and the loglik."""
 
     predicted_mean: np.ndarray
     predicted_var: np.ndarray
@@ -103,6 +110,7 @@ class FilterOutput:
     innovations: np.ndarray
     innovation_vars: np.ndarray
     standardized_residuals: np.ndarray
+    one_step_fit: np.ndarray
     loglik: float
 
 
@@ -114,8 +122,8 @@ class LjungBoxReport:
     statistics: np.ndarray
     p_values: np.ndarray
 
-    def passed(self, alpha: float = 0.05) -> bool:
-        return bool(np.all(self.p_values > alpha))
+    def passed(self) -> bool:
+        return bool(np.all(self.p_values > _LB_ALPHA))
 
     def rows(self):
         return [
@@ -153,6 +161,7 @@ class EstimationResult:
     converged: bool
     diagnostics: LjungBoxReport
     n_obs: int
+    filter_output: FilterOutput  # the pass at the optimum; as_dict() leaves it out
 
     def as_dict(self) -> dict:
         return {
@@ -173,11 +182,7 @@ class EstimationResult:
 @dataclass(frozen=True)
 class FitOptions:
     n_restarts: int = 5
-    perturb_scale: float = 0.7
     maxiter: int = 2000
-    xatol: float = 1e-8
-    fatol: float = 1e-10
-    min_obs: int = 20
 
 
 def _observable(obs) -> np.ndarray:
@@ -278,6 +283,7 @@ def kalman_filter(
         innovations=innov,
         innovation_vars=ivar,
         standardized_residuals=resid,
+        one_step_fit=coeffs.d + coeffs.c * pm,
         loglik=float(ll),
     )
 
@@ -333,11 +339,12 @@ def fit(
     with a derivative-free simplex search and ``options.n_restarts`` random
     restarts around the initial point; the flooring in the filter makes the
     objective only piecewise smooth, which rules out gradient methods.
-    Raises ValueError on non-finite data, with the offending index.
+    Raises ValueError on fewer than 20 observations, and on non-finite data
+    with the offending index.
     """
     y = _observable(obs)
-    if y.size < options.min_obs:
-        raise ValueError(f"need at least {options.min_obs} observations, got {y.size}")
+    if y.size < _MIN_OBS:
+        raise ValueError(f"need at least {_MIN_OBS} observations, got {y.size}")
     if init is None:
         init = _heuristic_init(y, spec)
     if rng is None:
@@ -348,14 +355,14 @@ def fit(
     best = None
     gen = rng.generator()
     for r in range(options.n_restarts + 1):
-        xr = x0 if r == 0 else x0 + options.perturb_scale * gen.standard_normal(4)
+        xr = x0 if r == 0 else x0 + _PERTURB_SCALE * gen.standard_normal(4)
         res = optimize.minimize(
             objective,
             xr,
             method="Nelder-Mead",
             options={
-                "xatol": options.xatol,
-                "fatol": options.fatol,
+                "xatol": _XATOL,
+                "fatol": _FATOL,
                 "maxiter": options.maxiter,
                 "maxfev": 4 * options.maxiter,
             },
@@ -369,7 +376,7 @@ def fit(
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
     simplex = best.final_simplex[0]
     diameter = float(np.max(np.abs(simplex - simplex[0])))
-    converged = bool(best.success) or diameter < options.xatol
+    converged = bool(best.success) or diameter < _XATOL
 
     se = std_errors(params, R, y, spec)
     filt = kalman_filter(params, R, y, spec)
@@ -384,6 +391,7 @@ def fit(
         converged=converged,
         diagnostics=diag,
         n_obs=int(y.size),
+        filter_output=filt,
     )
 
 
@@ -407,20 +415,19 @@ def std_errors(
     R_hat: float,
     obs,
     spec: StateSpaceSpec = StateSpaceSpec(),
-    rel_step: float = 1e-4,
 ) -> StdErrorReport:
     """Standard errors from the inverse negative Hessian of the quasi
     log-likelihood at the optimum.
 
-    The Hessian is computed by central differences in log-parameter space
-    and mapped to the natural scale by the delta method.  A Hessian that is
-    not positive definite is flagged and handled with a pseudo-inverse
-    rather than treated as fatal.
+    The Hessian is computed by central differences in log-parameter space,
+    with step 1e-4 * max(1, |x|) per coordinate, and mapped to the natural
+    scale by the delta method.  A Hessian that is not positive definite is
+    flagged and handled with a pseudo-inverse rather than treated as fatal.
     """
     y = _observable(obs)
     x = np.log([params_hat.kappa, params_hat.theta, params_hat.sigma, max(R_hat, 1e-300)])
     n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = _REL_STEP * np.maximum(1.0, np.abs(x))
     objective = _objective(y, spec)
 
     def f(xv):
@@ -544,13 +551,12 @@ class ReplicationSummary:
     n_requested: int
     n_failed: int
     failures: tuple
-    param_names: tuple = ("kappa", "theta", "sigma", "R")
 
     def mean_estimates(self) -> np.ndarray:
         return self.estimates.mean(axis=0)
 
     def mqe(self) -> np.ndarray:
-        truths = np.array([self.true_values[p] for p in self.param_names])
+        truths = np.array([self.true_values[p] for p in _PARAM_NAMES])
         return ((self.estimates - truths) ** 2).mean(axis=0)
 
     def std(self) -> np.ndarray:
@@ -566,21 +572,21 @@ class ReplicationSummary:
                 "mqe": float(mqes[i]),
                 "std_dev": float(stds[i]),
             }
-            for i, p in enumerate(self.param_names)
+            for i, p in enumerate(_PARAM_NAMES)
         ]
 
     def histogram(self, param: str, bins: int = 20):
-        i = self.param_names.index(param)
+        i = _PARAM_NAMES.index(param)
         counts, edges = np.histogram(self.estimates[:, i], bins=bins)
         return edges, counts
 
 
 def _replicate_one(args) -> tuple:
-    (model, R, spec, series_len, rep, rng, init, r_init, options) = args
+    (model, R, spec, series_len, rep, rng) = args
     stream = rng.spawn(rep)
     y = simulate_observations(model, R, spec, series_len, stream.spawn(0))
     try:
-        result = fit(y, spec, init=init, R_init=r_init, options=options, rng=stream.spawn(1))
+        result = fit(y, spec, init=model, R_init=R, rng=stream.spawn(1))
     except (EstimationError, ValueError, ArithmeticError) as exc:
         return rep, None, str(exc)
     est = (result.params.kappa, result.params.theta, result.params.sigma, result.R)
@@ -594,24 +600,18 @@ def replication_study(
     rng: RngStream,
     R: float = 1e-3,
     spec: StateSpaceSpec = StateSpaceSpec(),
-    init: Optional[FellerModel] = None,
-    options: FitOptions = FitOptions(),
     jobs: int = 1,
 ) -> ReplicationSummary:
     """Simulate ``n_reps`` observable series from the model and refit each.
 
     Replications use independent child streams indexed by replication number
     and are aggregated in index order, so the summary is identical for any
-    ``jobs``.  Individual replication failures are recorded and excluded.
+    ``jobs``.  Each fit starts from the true model with ``R_init = R``.
+    Individual replication failures are recorded and excluded.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if init is None:
-        init = true_params
-    payloads = [
-        (true_params, R, spec, series_len, rep, rng, init, R, options)
-        for rep in range(n_reps)
-    ]
+    payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             raw = list(ex.map(_replicate_one, payloads, chunksize=max(1, n_reps // (4 * jobs))))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coxaffine import RngStream, default_n_steps, load_model, simulate_arrivals, simulate_path
+from coxaffine import estimate
 from coxaffine.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -103,10 +104,19 @@ class TestPmf:
 
 
 class TestFit:
-    def test_dense_fixture_recovers_theta(self, tmp_path):
+    def test_dense_fixture_recovers_theta(self, tmp_path, monkeypatch):
+        calls = []
+        kalman_filter = estimate.kalman_filter
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kalman_filter(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "kalman_filter", counted)
         out = tmp_path / "run"
         code = main(["fit", "--data", DENSE, "--out", str(out), "--seed", "1"])
         assert code == 0
+        assert len(calls) == 1  # the fit's own pass at the optimum
         doc = json.loads((out / "estimate.json").read_text())
         # the fixture's generating intensity has long-run mean 0.5 per minute
         assert doc["estimates"]["theta"] == pytest.approx(0.5, rel=0.25)
@@ -187,6 +197,11 @@ class TestExitCodes:
     def test_usage_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
         assert main(["frobnicate"]) == 2
+        model = write_model(tmp_path, UNIT_MODEL)
+        # only validate runs replications in parallel
+        assert main(["fit", "--data", DENSE, "--out", str(tmp_path / "o"), "--jobs", "2"]) == 2
+        assert main(["simulate", "--model", model, "--out", str(tmp_path / "o"),
+                     "--jobs", "2"]) == 2
 
     def test_numeric_failure(self, tmp_path):
         # series too short for any replication to fit: estimation error

@@ -87,6 +87,31 @@ class TestLoadSave:
         assert log.n_rejected == 2
         assert log.rejected_lines == (3, 4)
 
+    def test_offsets_past_the_calendar_rejected_by_line(self, tmp_path):
+        p = tmp_path / "events.csv"
+        p.write_text(
+            "timestamp,side,instrument\n"
+            "2024-01-03T10:00:00.000,buy,SIM\n"
+            "0001-01-01T00:30:00.000+02:00,buy,SIM\n"
+            "9999-12-31T23:30:00.000-02:00,sell,SIM\n"
+        )
+        log = load_events(p)
+        assert log.rejected_lines == (3, 4)
+        assert log.timestamps_ms.size == 1
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        p = tmp_path / "events.csv"
+        p.write_bytes(
+            b"\xef\xbb\xbftimestamp,side,instrument\n"
+            b"2024-01-03T10:00:00.000,buy,SIM\n"
+            b"2024-01-03T10:00:01.000,sell,SIM\n"
+        )
+        log = load_events(p)
+        assert log.side == ("buy", "sell")
+        assert log.instrument == "SIM"
+        p.write_bytes(b"\xef\xbb\xbf")
+        assert len(load_events(p)) == 0
+
     def test_out_of_order_sorted_with_warning(self, tmp_path):
         p = tmp_path / "events.csv"
         p.write_text(
@@ -112,8 +137,6 @@ class TestLoadSave:
         p.write_text("time,side\n2024-01-03T10:00:00.000,buy\n")
         with pytest.raises(ValueError, match="timestamp"):
             load_events(p)
-        with pytest.raises(ValueError, match="format"):
-            load_events(p, format="parquet")
 
     def test_timezone_normalized(self, tmp_path):
         p = tmp_path / "events.csv"
@@ -139,7 +162,7 @@ def oracle_load_events(path):
     sides = []
     instrument = ""
     rejected = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return EventLog(np.empty(0, dtype=np.int64))

@@ -115,6 +115,7 @@ class TestFilterBehavior:
         out = kalman_filter(params, 1e-3, y, spec)
         d, c = measurement(params, spec)
         assert np.allclose(out.innovations, y - (d + c * out.predicted_mean), atol=1e-14)
+        assert np.array_equal(out.one_step_fit, d + c * out.predicted_mean)
         assert np.allclose(
             out.standardized_residuals,
             out.innovations / np.sqrt(out.innovation_vars),
@@ -221,6 +222,7 @@ class TestFit:
                 lags=(5,), statistics=np.array([1.0]), p_values=np.array([0.9])
             ),
             n_obs=30,
+            filter_output=kalman_filter(DESK, 1e-3, np.full(30, -0.04)),
         )
         doc = res.as_dict()
         assert "backend" not in doc
