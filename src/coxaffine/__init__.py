@@ -3,150 +3,29 @@
 Exponential-affine transforms of the integrated intensity give the count
 distribution in closed form; exact square-root transitions drive simulation;
 an approximate Kalman filter supports quasi-maximum-likelihood estimation.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union.
 """
 
+from . import affine_core, cox_dist, data_io, estimate, simulate
 from ._backend import BACKEND
-from .affine_core import (
-    AdmissibilityReport,
-    AffineModel,
-    ExplosionError,
-    FellerModel,
-    TransformCoeffs,
-    check_admissibility,
-    cir_transform_closed_form,
-    laplace_hazard,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-    solve_transform_ode,
-)
-from .cox_dist import (
-    CountPmf,
-    DistanceReport,
-    GammaLaw,
-    NegBinLaw,
-    PrecisionError,
-    convergence_rate,
-    distance_to_stationary,
-    hazard_moments,
-    mean_count,
-    pmf,
-    prob_no_arrival,
-    stationary_count,
-    stationary_intensity,
-    var_count,
-)
-from .data_io import (
-    EventLog,
-    ObservationSeries,
-    PipelineConfig,
-    aggregate,
-    load_events,
-    load_pipeline_config,
-    save_events,
-    to_observable,
-)
-from .estimate import (
-    EstimationError,
-    EstimationResult,
-    FilterOutput,
-    FitOptions,
-    LjungBoxReport,
-    ReplicationSummary,
-    StateSpaceSpec,
-    StdErrorReport,
-    fit,
-    kalman_filter,
-    ljung_box,
-    ljung_box_pvalue,
-    qml_loglik,
-    replication_study,
-    simulate_observations,
-    std_errors,
-)
+from .affine_core import *
+from .cox_dist import *
+from .data_io import *
+from .estimate import *
 from .jets import Jet
-from .simulate import (
-    MonteCarloPmf,
-    PathSample,
-    RngStream,
-    default_n_steps,
-    euler_affine_path,
-    monte_carlo_pmf,
-    sample_cir_transition,
-    simulate_arrivals,
-    simulate_path,
-)
+from .simulate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
     "__version__",
-    # transforms
-    "FellerModel",
-    "AffineModel",
-    "TransformCoeffs",
-    "AdmissibilityReport",
-    "ExplosionError",
-    "cir_transform_closed_form",
-    "solve_transform_ode",
-    "laplace_hazard",
-    "check_admissibility",
-    "model_to_dict",
-    "model_from_dict",
-    "save_model",
-    "load_model",
-    # count distributions
     "Jet",
-    "CountPmf",
-    "PrecisionError",
-    "GammaLaw",
-    "NegBinLaw",
-    "DistanceReport",
-    "pmf",
-    "prob_no_arrival",
-    "mean_count",
-    "var_count",
-    "hazard_moments",
-    "stationary_intensity",
-    "stationary_count",
-    "convergence_rate",
-    "distance_to_stationary",
-    # simulation
-    "RngStream",
-    "PathSample",
-    "MonteCarloPmf",
-    "sample_cir_transition",
-    "simulate_path",
-    "simulate_arrivals",
-    "monte_carlo_pmf",
-    "euler_affine_path",
-    "default_n_steps",
-    # estimation
-    "StateSpaceSpec",
-    "FilterOutput",
-    "EstimationResult",
-    "StdErrorReport",
-    "LjungBoxReport",
-    "FitOptions",
-    "EstimationError",
-    "ReplicationSummary",
-    "kalman_filter",
-    "qml_loglik",
-    "fit",
-    "std_errors",
-    "ljung_box",
-    "ljung_box_pvalue",
-    "simulate_observations",
-    "replication_study",
-    # data handling
-    "EventLog",
-    "ObservationSeries",
-    "PipelineConfig",
-    "load_events",
-    "save_events",
-    "aggregate",
-    "to_observable",
-    "load_pipeline_config",
+    *affine_core.__all__,
+    *cox_dist.__all__,
+    *simulate.__all__,
+    *estimate.__all__,
+    *data_io.__all__,
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.stats import norm
@@ -304,7 +304,8 @@ def solve_transform_ode(
 
     which makes L = exp(alpha - beta . x) the Laplace transform of the
     integrated intensity.  ``mu`` may be a Jet; its Taylor coefficients are
-    carried through the integration.
+    carried through the integration, and alpha and beta are Jets of the same
+    order (order 0 included).
 
     Step-size control must not depend on the jet order (the order-0 result
     has to match the scalar run bitwise), yet the order-0 solution alone can
@@ -366,7 +367,7 @@ def solve_transform_ode(
         yT = _integrate_riccati(rhs, y0, float(horizon), tol, err_slots)
 
     yT = yT[:, :K1]  # drop the pacer column
-    if order == 0:
+    if not isinstance(mu, Jet):
         beta = yT[:d, 0] if d > 1 else float(yT[0, 0])
         alpha = float(yT[d, 0])
     else:
@@ -430,18 +431,15 @@ def _gaussian_factor_indices(model: AffineModel) -> list:
     return out
 
 
-def check_admissibility(
-    model: AffineModel,
-    boundary_points: Sequence = None,
-) -> AdmissibilityReport:
+def check_admissibility(model: AffineModel) -> AdmissibilityReport:
     """Check drift-domination at volatility boundaries and state positivity.
 
     Part 1 requires, at every tested point x with a_i + b_i . x = 0, that
     b_i^T kappa (theta - x) > 1/2 b_i^T sigma_mat sigma_mat^T b_i, so the
     drift pushes the squared volatility back into the positive region.
     Part 2 requires proportional volatility factors wherever they are
-    coupled through sigma_mat.  Default test points project theta onto each
-    boundary hyperplane; callers may supply their own ``boundary_points``.
+    coupled through sigma_mat.  The tested point of each boundary hyperplane
+    is the projection of theta onto it.
 
     Factors with constant volatility are Gaussian; their stationary law
     (mean from theta, covariance from the Lyapunov equation) gives the
@@ -458,10 +456,6 @@ def check_admissibility(
     domain = []
     tested = []
 
-    user_points = None
-    if boundary_points is not None:
-        user_points = [np.asarray(p, dtype=float) for p in boundary_points]
-
     for i in range(d):
         b_i = model.b[i]
         domain.append(f"a[{i}] + b[{i}].x >= 0")
@@ -469,23 +463,18 @@ def check_admissibility(
             a_ok.append(True)
             messages.append(f"factor {i}: constant volatility, no boundary to check")
             continue
-        # part 1 at boundary points of {a_i + b_i.x = 0}
-        if user_points is not None:
-            pts = [p for p in user_points if abs(model.a[i] + b_i @ p) < 1e-9]
-        else:
-            nrm = float(b_i @ b_i)
-            pts = [model.theta - ((model.a[i] + b_i @ model.theta) / nrm) * b_i]
+        # part 1 at the projection of theta onto {a_i + b_i.x = 0}
+        nrm = float(b_i @ b_i)
+        x = model.theta - ((model.a[i] + b_i @ model.theta) / nrm) * b_i
         rhs_bound = 0.5 * float(b_i @ sst @ b_i)
-        part1 = True
-        for x in pts:
-            lhs = float(b_i @ (model.kappa @ (model.theta - x)))
-            tested.append((i, tuple(np.round(x, 12))))
-            if not lhs > rhs_bound:
-                part1 = False
-                messages.append(
-                    f"factor {i}: drift condition fails at boundary point "
-                    f"{np.round(x, 6).tolist()} ({lhs:.6g} <= {rhs_bound:.6g})"
-                )
+        lhs = float(b_i @ (model.kappa @ (model.theta - x)))
+        tested.append((i, tuple(np.round(x, 12))))
+        part1 = lhs > rhs_bound
+        if not part1:
+            messages.append(
+                f"factor {i}: drift condition fails at boundary point "
+                f"{np.round(x, 6).tolist()} ({lhs:.6g} <= {rhs_bound:.6g})"
+            )
         # part 2: coupled factors must have proportional volatility
         part2 = True
         row_i = np.concatenate([[model.a[i]], b_i])

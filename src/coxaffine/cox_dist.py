@@ -1,4 +1,4 @@
-"""Count distributions, moments, stationary laws, and convergence diagnostics.
+"""Count distributions, moments, stationary laws and the convergence rate.
 
 Conditional on the integrated intensity Lambda, counts are Poisson(Lambda),
 so every count quantity is a functional of the hazard transform L(mu):
@@ -11,9 +11,8 @@ loses all digits past k of about 5.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy import stats
@@ -34,12 +33,9 @@ __all__ = [
     "stationary_intensity",
     "stationary_count",
     "convergence_rate",
-    "distance_to_stationary",
-    "DistanceReport",
 ]
 
 Model = Union[FellerModel, AffineModel]
-_STEPS_PER_WINDOW = 64  # trapezoid steps of a simulated hazard over one window
 
 
 class PrecisionError(ArithmeticError):
@@ -237,114 +233,3 @@ def stationary_count(model: FellerModel, window: float) -> NegBinLaw:
 def convergence_rate(model: FellerModel) -> float:
     """Exponential rate at which count laws approach stationarity (2 kappa)."""
     return 2.0 * model.kappa
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Total-variation distances to the stationary count law over time."""
-
-    t_grid: np.ndarray
-    distances: np.ndarray
-    noise_floor: float
-    slope: float
-    intercept: float
-    used_points: np.ndarray
-
-    def to_rows(self):
-        return list(zip(self.t_grid.tolist(), self.distances.tolist()))
-
-
-def distance_to_stationary(
-    model: FellerModel,
-    t_grid: Sequence,
-    n_paths: int,
-    rng,
-    start: str = "fixed",
-    window: float = 1.0,
-) -> DistanceReport:
-    """Estimate TV distance between window counts at each start time and the
-    stationary window-count law, and fit an exponential decay slope.
-
-    The count pmf at each time is estimated by averaging the conditional
-    Poisson pmf over simulated hazards, each integrated over the window in
-    64 trapezoid steps (no count sampling, which removes the multinomial
-    noise layer).  The stationary reference is estimated the same way from
-    stationary starts at twice the path count, not taken from
-    ``stationary_count``: the closed-form mixed law freezes the intensity
-    across the window, and the resulting O(kappa * window) offset would put a
-    floor under the distances and mask the decay this diagnostic measures.
-    The NegBin law only picks the truncation point.  The slope is least
-    squares on log-distance, restricted to points at least 10x above the
-    Monte Carlo noise floor (which accounts for noise in both estimates).
-
-    ``start="fixed"`` launches every path at ``model.lambda0``;
-    ``start="stationary"`` draws initial intensities from the stationary law,
-    in which case distances should be statistically indistinguishable from 0.
-    """
-    from . import simulate as sim
-
-    if start not in ("fixed", "stationary"):
-        raise ValueError(f"start must be 'fixed' or 'stationary', got {start!r}")
-    if not isinstance(rng, sim.RngStream):
-        raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    nb = stationary_count(model, window)
-    # truncation point with negligible stationary tail
-    k_max = int(stats.nbinom.ppf(1.0 - 1e-12, nb.size, nb.p)) + 5
-    k_max = min(max(k_max, 10), 400)
-
-    gamma_law = stationary_intensity(model)
-
-    def launch_at(t, origin):
-        # n starting intensities at time t after a fixed or stationary origin
-        def launch(gen, n):
-            if origin == "fixed":
-                lam = np.full(n, model.lambda0)
-            else:
-                lam = gamma_law.sample(gen, size=n)
-            if t > 0:
-                lam = sim.sample_cir_transition(model, lam, float(t), gen)
-            return lam
-
-        return launch
-
-    ref_probs, ref_se = sim._averaged_conditional_pmf(
-        model,
-        launch_at(0.0, "stationary"),
-        2 * n_paths,
-        window,
-        _STEPS_PER_WINDOW,
-        k_max,
-        rng.spawn(t_grid.size),
-    )
-    ref_tail = max(0.0, 1.0 - float(ref_probs.sum()))
-
-    distances = np.empty(t_grid.size)
-    noise = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        phat, se = sim._averaged_conditional_pmf(
-            model, launch_at(t, start), n_paths, window, _STEPS_PER_WINDOW, k_max, rng.spawn(j)
-        )
-        tail_hat = max(0.0, 1.0 - float(phat.sum()))
-        distances[j] = 0.5 * (np.abs(phat - ref_probs).sum() + abs(tail_hat - ref_tail))
-        noise[j] = 0.5 * np.sqrt(se**2 + ref_se**2).sum()
-
-    noise_floor = float(np.max(noise))
-    usable = distances > 10.0 * noise_floor
-    if usable.sum() < 2:
-        usable = distances > noise_floor
-    if usable.sum() >= 2:
-        x = t_grid[usable]
-        ylog = np.log(distances[usable])
-        slope, intercept = np.polyfit(x, ylog, 1)
-    else:
-        slope, intercept = math.nan, math.nan
-        warnings.warn("all distances within Monte Carlo noise; no decay slope fitted")
-    return DistanceReport(
-        t_grid=t_grid,
-        distances=distances,
-        noise_floor=noise_floor,
-        slope=float(slope),
-        intercept=float(intercept),
-        used_points=usable,
-    )

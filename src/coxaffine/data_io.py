@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, time, timedelta, timezone
@@ -508,26 +509,49 @@ class PipelineConfig:
         return (self.session_start, self.session_end)
 
 
-_CONFIG_KEYS = {
-    "session_start",
-    "session_end",
-    "interval_seconds",
-    "M",
-    "mapping",
-    "average_days",
+_CONFIG_RULES = {
+    "session_start": "an 'HH:MM' string",
+    "session_end": "an 'HH:MM' string",
+    "interval_seconds": "a positive finite number",
+    "M": "a positive integer",
+    "mapping": f"one of {_OBS_MAPPINGS}",
+    "average_days": "true or false",
 }
 
 
+def _config_value(key: str, value):
+    """``value`` as the PipelineConfig field ``key``; ValueError if it is not one."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in ("session_start", "session_end") and isinstance(value, str):
+        return time.fromisoformat(value)
+    if key == "interval_seconds" and number and 0 < value < math.inf:
+        return value
+    if key == "M" and number and isinstance(value, int) and value > 0:
+        return value
+    if key == "mapping" and value in _OBS_MAPPINGS:
+        return value
+    if key == "average_days" and isinstance(value, bool):
+        return value
+    raise ValueError(key)
+
+
 def load_pipeline_config(path) -> PipelineConfig:
+    """Read a pipeline config: a JSON object holding any of the PipelineConfig
+    fields.  An unknown key, or a value of the wrong type or range, raises
+    ValueError naming the file and the key."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: pipeline config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - _CONFIG_RULES.keys()
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = dict(raw)
-    for key in ("session_start", "session_end"):
-        if key in kwargs:
-            kwargs[key] = _coerce_time(kwargs[key])
+    kwargs = {}
+    for key, value in raw.items():
+        try:
+            kwargs[key] = _config_value(key, value)
+        except ValueError:
+            raise ValueError(
+                f"{path}: {key} must be {_CONFIG_RULES[key]}, got {value!r}"
+            ) from None
     return PipelineConfig(**kwargs)

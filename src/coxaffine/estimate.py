@@ -28,7 +28,7 @@ from scipy import optimize, stats
 from ._backend import filter_kernel
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
-from .simulate import RngStream
+from .simulate import RngStream, sample_cir_transition
 
 __all__ = [
     "StateSpaceSpec",
@@ -519,8 +519,6 @@ def simulate_observations(
     at the observation spacing, and is measured through the configured
     mapping with Gaussian noise of standard deviation R.
     """
-    from .simulate import sample_cir_transition
-
     if n_obs < 1:
         raise ValueError(f"n_obs must be >= 1, got {n_obs}")
     gen = rng.generator()
@@ -611,6 +609,8 @@ def replication_study(
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:

@@ -188,11 +188,28 @@ class TestExitCodes:
         code = main(["pmf", "--model", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_bad_pipeline_config(self, tmp_path):
-        cfg = tmp_path / "pipeline.json"
-        cfg.write_text(json.dumps({"window": 5}))
-        code = main(["fit", "--data", DENSE, "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
+    def test_bad_pipeline_config(self, tmp_path, capsys):
+        bad = [
+            ({"window": 5}, "window"),
+            ({"session_start": 5}, "session_start"),
+            ({"session_end": "25:00"}, "session_end"),
+            ({"interval_seconds": "60"}, "interval_seconds"),
+            ({"interval_seconds": True}, "interval_seconds"),
+            ({"interval_seconds": -60}, "interval_seconds"),
+            ({"M": 6000.5}, "M"),
+            ({"M": 0}, "M"),
+            ({"mapping": "log"}, "mapping"),
+            ({"average_days": "no"}, "average_days"),
+        ]
+        for doc, key in bad:
+            cfg = tmp_path / "pipeline.json"
+            cfg.write_text(json.dumps(doc))
+            code = main(
+                ["fit", "--data", DENSE, "--config", str(cfg), "--out", str(tmp_path / "o")]
+            )
+            assert code == 2, doc
+            err = capsys.readouterr().err
+            assert str(cfg) in err and key in err, err
 
     def test_usage_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
@@ -202,6 +219,9 @@ class TestExitCodes:
         assert main(["fit", "--data", DENSE, "--out", str(tmp_path / "o"), "--jobs", "2"]) == 2
         assert main(["simulate", "--model", model, "--out", str(tmp_path / "o"),
                      "--jobs", "2"]) == 2
+        for jobs in ("0", "-3"):
+            assert main(["validate", "--model", model, "--out", str(tmp_path / "o"),
+                         "--reps", "2", "--len", "30", "--jobs", jobs]) == 2
 
     def test_numeric_failure(self, tmp_path):
         # series too short for any replication to fit: estimation error

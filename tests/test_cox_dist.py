@@ -77,6 +77,13 @@ class TestPmf:
         assert p.tail_bound < 1e-12
         assert p.mean() == pytest.approx(mean_count(BASE, 1.0), rel=1e-8)
 
+    def test_order_zero_on_the_riccati_route(self):
+        # an order-0 jet stays a jet through the Riccati integrator
+        riccati = pmf(BASE.as_affine(), 1.0, k_max=0, x0=[1.0])
+        closed = pmf(BASE, 1.0, k_max=0)
+        assert riccati.probs.shape == (1,)
+        assert riccati.probs[0] == pytest.approx(closed.probs[0], rel=0, abs=1e-11)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             pmf(BASE, -1.0)

@@ -1,0 +1,75 @@
+"""Package layout: each public name is declared once, and modules import in
+one direction.
+
+The modules' ``__all__`` lists are the only lists of public names (the
+benchmark tracer reads them too), and the package exports their union.
+Intra-package imports sit at module level, where the import graph is
+acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
+with data_io on its own.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import coxaffine
+from coxaffine import affine_core, cox_dist, data_io, estimate, simulate
+
+PACKAGE = Path(coxaffine.__file__).resolve().parent
+MODULES = {p.stem: p for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_package_exports_the_union_of_module_lists():
+    assert len(coxaffine.__all__) == len(set(coxaffine.__all__))
+    lists = [m.__all__ for m in (affine_core, cox_dist, simulate, estimate, data_io)]
+    declared = [name for names in lists for name in names]
+    assert len(declared) == len(set(declared)), "a name is in two module lists"
+    assert set(coxaffine.__all__) == {"BACKEND", "__version__", "Jet", *declared}
+    for name in coxaffine.__all__:
+        assert hasattr(coxaffine, name), name
+
+
+def _package_imports(node):
+    """Modules of this package that an import statement names."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [a.name if a.name in MODULES else "__init__" for a in node.names]
+    names = []
+    if isinstance(node, ast.ImportFrom) and node.module:
+        names = [node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    parts = [n.split(".") for n in names if n.split(".")[0] == "coxaffine"]
+    return [p[1] if len(p) > 1 else "__init__" for p in parts]
+
+
+def _import_graph():
+    """Module-level import edges, and the imports found inside functions."""
+    graph, nested = {}, []
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        graph[name] = set()
+        stack = [(tree, False)]
+        while stack:
+            node, in_function = stack.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                targets = _package_imports(node)
+                if in_function and targets:
+                    nested.append(f"{name}.py:{node.lineno}")
+                elif not in_function:
+                    graph[name].update(targets)
+            inside = in_function or isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            )
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return graph, nested
+
+
+def test_package_imports_in_one_direction():
+    graph, nested = _import_graph()
+    assert not nested, f"intra-package imports inside functions: {nested}"
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
