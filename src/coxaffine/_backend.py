@@ -42,7 +42,7 @@ def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
             pp = p0
         v = yt - (d + c * mp)
         s = c * c * pp + r2
-        if not (s > 0.0) or s != s:
+        if not (s > 0.0):
             return math.nan, t
         k = pp * c / s
         m = mp + k * v

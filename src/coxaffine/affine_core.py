@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.stats import norm
 
 from . import jets
 from .jets import Jet
@@ -508,6 +507,7 @@ def check_admissibility(model: AffineModel) -> AdmissibilityReport:
     b_ok = True
     if gauss:
         from scipy.linalg import solve_continuous_lyapunov
+        from scipy.stats import norm
 
         sbar = np.clip(model.vol_sq(model.theta), 0.0, None)
         diff = model.sigma_mat @ np.diag(sbar) @ model.sigma_mat.T

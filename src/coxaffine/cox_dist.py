@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import stats
 
 from .affine_core import AffineModel, FellerModel, laplace_hazard
 from .jets import Jet
@@ -172,6 +171,8 @@ class GammaLaw:
         return self.shape / self.rate**2
 
     def pdf(self, x):
+        from scipy import stats
+
         return stats.gamma.pdf(x, a=self.shape, scale=1.0 / self.rate)
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -200,9 +201,13 @@ class NegBinLaw:
         return self.size * (1.0 - self.p) / self.p**2
 
     def pmf(self, k):
+        from scipy import stats
+
         return stats.nbinom.pmf(k, self.size, self.p)
 
     def sf(self, k):
+        from scipy import stats
+
         return stats.nbinom.sf(k, self.size, self.p)
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -400,13 +400,14 @@ def aggregate(
 ) -> ObservationSeries:
     """Bin in-session events into fixed intervals.
 
-    ``interval`` is in seconds; ``sessions`` gives the daily (start, end)
-    bounds, end exclusive.  Only full intervals are kept, so a session not
-    divisible by the interval drops its trailing remainder.  With
-    ``average_days`` the counts at matching intra-day intervals are averaged
-    across days (flagged, since averaged counts are not integers); otherwise
-    days are pooled in chronological order.  Events outside sessions are
-    counted in ``n_dropped``.
+    ``interval`` is in seconds, rounded to whole milliseconds (at least one);
+    ``sessions`` gives the daily (start, end) bounds, end exclusive.  Only
+    full intervals are kept, so a session not divisible by the interval
+    drops its trailing remainder.  With ``average_days`` the counts at
+    matching intra-day intervals are averaged across days (flagged, since
+    averaged counts are not integers); otherwise days are pooled in
+    chronological order.  Events outside sessions are counted in
+    ``n_dropped``.
     """
     if not interval > 0:
         raise ValueError(f"interval must be > 0, got {interval}")
@@ -415,6 +416,8 @@ def aggregate(
     if not start_ms < end_ms:
         raise ValueError(f"session start {start} must precede end {end}")
     interval_ms = int(round(interval * 1000))
+    if interval_ms < 1:
+        raise ValueError(f"interval {interval} s rounds to {interval_ms} ms; need at least 1 ms")
     n_bins = (end_ms - start_ms) // interval_ms
     if n_bins == 0:
         raise ValueError("interval longer than the session")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 from ._backend import filter_kernel
 from .affine_core import FellerModel, cir_transform_closed_form
@@ -342,6 +341,8 @@ def fit(
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
     """
+    from scipy import optimize
+
     y = _observable(obs)
     if y.size < _MIN_OBS:
         raise ValueError(f"need at least {_MIN_OBS} observations, got {y.size}")
@@ -480,7 +481,9 @@ def ljung_box_pvalue(statistic: float, lag: int) -> float:
         raise ValueError(f"lag must be >= 1, got {lag}")
     if statistic < 0:
         raise ValueError(f"statistic must be >= 0, got {statistic}")
-    return float(stats.chi2.sf(statistic, lag))
+    from scipy.special import chdtrc  # what scipy.stats.chi2.sf evaluates
+
+    return float(chdtrc(lag, statistic))
 
 
 def ljung_box(residuals, lags: Sequence[int] = (5, 10, 15)) -> LjungBoxReport:

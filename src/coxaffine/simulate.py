@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .affine_core import AffineModel, FellerModel
 from .cox_dist import CountPmf, stationary_count, stationary_intensity
@@ -417,6 +416,8 @@ def distance_to_stationary(
         raise ValueError(f"start must be 'fixed' or 'stationary', got {start!r}")
     if not isinstance(rng, RngStream):
         raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
+    from scipy import stats
+
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     nb = stationary_count(model, window)
     # truncation point with negligible stationary tail

@@ -211,6 +211,13 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert str(cfg) in err and key in err, err
 
+    def test_sub_millisecond_interval(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({"interval_seconds": 0.0001}))
+        code = main(["fit", "--data", DENSE, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "interval 0.0001 s" in capsys.readouterr().err
+
     def test_usage_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
         assert main(["frobnicate"]) == 2

@@ -439,6 +439,16 @@ class TestAggregate:
         with pytest.raises(ValueError, match="longer than the session"):
             aggregate(log, interval=7200.0, sessions=(time(10, 0), time(11, 0)))
 
+    def test_interval_below_one_ms(self):
+        # intervals are whole milliseconds; one that rounds to 0 ms is named
+        log = EventLog(timestamps_ms=np.array([ms_at(3, 10, 0, 0.5)], dtype=np.int64))
+        second = (time(10, 0, 0), time(10, 0, 1))
+        for interval in (0.0001, 0.0005):
+            with pytest.raises(ValueError, match=f"interval {interval} s rounds to 0 ms"):
+                aggregate(log, interval=interval, sessions=second)
+        series = aggregate(log, interval=0.0006, sessions=second)
+        assert len(series) == 1000 and series.counts[500] == 1
+
 
 class TestToObservable:
     def series(self, counts):

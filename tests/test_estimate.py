@@ -250,6 +250,17 @@ class TestLjungBox:
         assert ljung_box_pvalue(13.47, 10) == pytest.approx(0.198, abs=0.005)
         assert ljung_box_pvalue(17.0, 15) == pytest.approx(0.319, abs=0.005)
 
+    def test_pvalue_bits_match_scipy_stats(self):
+        # the p-value comes from scipy.special.chdtrc, which is what
+        # scipy.stats.chi2.sf evaluates; every bit must agree
+        grid = np.random.default_rng(48).uniform(0.0, 3.0, size=40)
+        for lag in (1, 5, 10, 15, 40):
+            qs = [0.0, 1e-300, float(lag), 1e5, *(grid * lag).tolist()]
+            for q in qs:
+                got = ljung_box_pvalue(q, lag)
+                want = float(stats.chi2.sf(q, lag))
+                assert got.hex() == want.hex(), (q, lag)
+
     def test_white_noise_passes(self):
         z = RngStream(701).generator().standard_normal(2000)
         rep = ljung_box(z)

@@ -5,11 +5,16 @@ The modules' ``__all__`` lists are the only lists of public names (the
 benchmark tracer reads them too), and the package exports their union.
 Intra-package imports sit at module level, where the import graph is
 acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
-with data_io on its own.
+with data_io on its own.  scipy loads only inside the functions that use
+it, so the package imports, simulates and evaluates the count law without it.
 """
 
 import ast
 import graphlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import coxaffine
@@ -73,3 +78,46 @@ def test_package_imports_in_one_direction():
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+_PROBE = """
+import json, sys
+from coxaffine import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, name
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_stays_off_the_start_up_path(tmp_path):
+    # the test process has imported scipy.stats, so only a fresh
+    # interpreter shows what the package itself loads
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({"kind": "feller", "kappa": 1.0, "theta": 1.0, "sigma": 0.5, "lambda0": 1.0})
+    )
+    dense = Path(__file__).resolve().parent / "fixtures" / "events_dense.csv"
+    out = str(tmp_path / "out")
+    commands = [
+        ["simulate", ["simulate", "--model", str(model), "--out", out, "--len", "5"]],
+        ["pmf", ["pmf", "--model", str(model), "--out", out, "--kmax", "20"]],
+        ["fit", ["fit", "--data", str(dense), "--out", out, "--seed", "1"]],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == [], seen["import"]
+    assert seen["simulate"] == [], seen["simulate"]
+    assert seen["pmf"] == [], seen["pmf"]
+    assert "scipy.stats" not in seen["fit"]
