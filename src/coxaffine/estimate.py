@@ -300,18 +300,19 @@ _PENALTY = 1e12
 def _objective(y: np.ndarray, spec: StateSpaceSpec):
     """Negative quasi log-likelihood over log-parameters, bound to one series.
 
-    Each evaluation maps x to coefficients as floats and runs the filter
-    kernel over ``y.tolist()`` without per-step output; the value equals
-    ``-kalman_filter(...).loglik`` bit for bit.  Points outside |x| <= 50, and
-    points where the filter fails, score ``_PENALTY``.  Inside the box exp(x)
-    is finite and positive, so the parameters need no ``FellerModel``
-    validation.
+    Each evaluation takes x as a sequence of four floats, maps it to
+    coefficients as floats and runs the filter kernel over ``y.tolist()``
+    without per-step output; the value equals ``-kalman_filter(...).loglik``
+    bit for bit.  Points outside |x| <= 50, and points where the filter fails,
+    score ``_PENALTY``.  Inside the box exp(x) is finite and positive, so the
+    parameters need no ``FellerModel`` validation.
     """
     ys = y.tolist()
 
-    def neg_loglik(x: np.ndarray) -> float:
-        if any(abs(v) > 50.0 for v in x.tolist()):
+    def neg_loglik(x: Sequence[float]) -> float:
+        if any(abs(v) > 50.0 for v in x):
             return _PENALTY
+        # numpy's exp, not math.exp: the two can differ in the last bit
         kappa, theta, sigma, R = np.exp(x).tolist()
         try:
             ll, err = filter_kernel(ys, *_filter_coeffs(kappa, theta, sigma, R, spec))
@@ -322,6 +323,104 @@ def _objective(y: np.ndarray, spec: StateSpaceSpec):
         return -ll
 
     return neg_loglik
+
+
+class _Exhausted(Exception):
+    """The simplex search ran out of function evaluations."""
+
+
+class _Search(NamedTuple):
+    x: list
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+    simplex: list  # the final vertices, best first
+
+
+def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
+    """Minimize ``f`` over Python lists of floats with a Nelder-Mead simplex.
+
+    This is the unbounded, non-adaptive recursion of scipy's Nelder-Mead
+    (reflection 1, expansion 2, contraction and shrink 0.5), with its initial
+    simplex (each coordinate of x0 scaled by 1.05, or set to 0.00025 where
+    it is 0), its row-by-row centroid, its ``_XATOL``/``_FATOL`` test and its
+    ``maxiter``/``maxfev`` accounting, an exhausted budget stopping the search
+    even in the middle of a shrink.  Vertices are ordered by (value, index).
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        v = list(x0)
+        v[k] = (1 + 0.05) * v[k] if v[k] != 0 else 0.00025
+        sim.append(v)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return f(x)
+
+    def line(xbar, worst, t):
+        # the point xbar + t (xbar - worst), in scipy's operation order
+        return [(1 + t) * a - t * b for a, b in zip(xbar, worst)]
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _Exhausted:
+        pass
+    sim, fsim = ordered(sim, fsim)
+    sim, fsim = ordered(sim, fsim)
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        best, fbest = sim[0], fsim[0]
+        if all(abs(a - b) <= _XATOL for v in sim[1:] for a, b in zip(v, best)) and all(
+            abs(fbest - fv) <= _FATOL for fv in fsim[1:]
+        ):
+            break
+        try:
+            xbar = list(best)
+            for v in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, v)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = line(xbar, worst, 1)
+            fxr = evaluate(xr)
+            if fxr < fbest:
+                xe = line(xbar, worst, 2)
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = line(xbar, worst, 0.5)
+                    fxc = evaluate(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = line(xbar, worst, -0.5)
+                    fxc = evaluate(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                        fsim[j] = evaluate(sim[j])
+            nit += 1
+        except _Exhausted:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    success = not (nfev >= maxfev or nit >= maxiter)
+    return _Search(sim[0], fsim[0], nfev, nit, success, sim)
 
 
 def fit(
@@ -341,8 +440,6 @@ def fit(
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
     """
-    from scipy import optimize
-
     y = _observable(obs)
     if y.size < _MIN_OBS:
         raise ValueError(f"need at least {_MIN_OBS} observations, got {y.size}")
@@ -357,17 +454,7 @@ def fit(
     gen = rng.generator()
     for r in range(options.n_restarts + 1):
         xr = x0 if r == 0 else x0 + _PERTURB_SCALE * gen.standard_normal(4)
-        res = optimize.minimize(
-            objective,
-            xr,
-            method="Nelder-Mead",
-            options={
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "maxiter": options.maxiter,
-                "maxfev": 4 * options.maxiter,
-            },
-        )
+        res = _nelder_mead(objective, xr.tolist(), options.maxiter, 4 * options.maxiter)
         if res.fun < _PENALTY and (best is None or res.fun < best.fun):
             best = res
     if best is None:
@@ -375,8 +462,7 @@ def fit(
 
     kappa, theta, sigma, R = np.exp(best.x)
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
-    simplex = best.final_simplex[0]
-    diameter = float(np.max(np.abs(simplex - simplex[0])))
+    diameter = max(abs(a - b) for v in best.simplex for a, b in zip(v, best.x))
     converged = bool(best.success) or diameter < _XATOL
 
     se = std_errors(params, R, y, spec)
@@ -432,7 +518,7 @@ def std_errors(
     objective = _objective(y, spec)
 
     def f(xv):
-        v = objective(xv)
+        v = objective(xv.tolist())
         return math.nan if v >= _PENALTY else -v
 
     f0 = f(x)
