@@ -52,7 +52,7 @@ _MAPPINGS = ("log_prob_no_arrival", "prob_no_arrival", "direct_state")
 _PARAM_NAMES = ("kappa", "theta", "sigma", "R")
 _MIN_OBS = 20
 _PERTURB_SCALE = 0.7  # restart offsets in log-parameters, times a standard normal
-_XATOL = 1e-8  # Nelder-Mead stopping tolerances
+_XATOL = 1e-8  # stopping tolerances of _nelder_mead, the in-house simplex (stable tie order)
 _FATOL = 1e-10
 _REL_STEP = 1e-4  # Hessian step relative to max(1, |x|)
 _LB_ALPHA = 0.05  # Ljung-Box level
@@ -369,7 +369,8 @@ def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
         return [(1 + t) * a - t * b for a, b in zip(xbar, worst)]
 
     def ordered(sim, fsim):
-        order = np.argsort(fsim)
+        # a stable sort: tied values keep their index order on any machine
+        order = sorted(range(n + 1), key=fsim.__getitem__)
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     try:
@@ -377,7 +378,6 @@ def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
             fsim[k] = evaluate(sim[k])
     except _Exhausted:
         pass
-    sim, fsim = ordered(sim, fsim)
     sim, fsim = ordered(sim, fsim)
     nit = 1
     while nfev < maxfev and nit < maxiter:
@@ -434,9 +434,11 @@ def fit(
     """Maximize the quasi log-likelihood over (kappa, theta, sigma, R).
 
     Optimization runs in log-parameter space (so estimates stay positive)
-    with a derivative-free simplex search and ``options.n_restarts`` random
-    restarts around the initial point; the flooring in the filter makes the
-    objective only piecewise smooth, which rules out gradient methods.
+    with ``_nelder_mead``, the package's own derivative-free simplex search,
+    and ``options.n_restarts`` random restarts around the initial point; the
+    flooring in the filter makes the objective only piecewise smooth, which
+    rules out gradient methods.  The search orders tied vertex values by
+    vertex index, so the fitted bits do not depend on the machine's sort.
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
     """

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from coxaffine import (
     EstimationError,
@@ -32,7 +32,7 @@ from coxaffine import (
     simulate_observations,
     std_errors,
 )
-from coxaffine.estimate import _filter_coeffs
+from coxaffine.estimate import _FATOL, _PENALTY, _XATOL, _filter_coeffs, _nelder_mead, _objective
 
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
 
@@ -242,6 +242,99 @@ class TestFit:
         y, spec = self.make_series(800)
         rep = std_errors(DESK, 1e-3, y, spec)
         assert all(math.isfinite(v) and v >= 0.0 for v in (rep.kappa, rep.theta, rep.sigma, rep.R))
+
+
+class TestNelderMead:
+    """The in-house simplex against scipy's, which it ports.
+
+    The two differ only in how they order tied vertex values, so the
+    comparisons use objectives whose evaluated values are all distinct.
+    """
+
+    @staticmethod
+    def quadratic(x):
+        return sum(w * (v - c) ** 2 for w, v, c in zip((1.0, 3.0, 0.5, 7.0), x, (0.3, -1.2, 2.0, 0.7)))
+
+    @staticmethod
+    def rosenbrock(x):
+        return sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(x[:-1], x[1:]))
+
+    @staticmethod
+    def desk_objective():
+        spec = StateSpaceSpec(delta=1.0, window=1.0)
+        return _objective(simulate_observations(DESK, 1e-3, spec, 60, RngStream(611)), spec)
+
+    @staticmethod
+    def compare(f, x0, maxiter, maxfev, distinct=True):
+        seen = []
+
+        def recorded(x):
+            seen.append(f(list(x)))
+            return seen[-1]
+
+        ours = _nelder_mead(recorded, list(x0), maxiter, maxfev)
+        n_ours = len(seen)
+        ref = optimize.minimize(
+            lambda x: f(x.tolist()),
+            np.array(x0, dtype=float),
+            method="Nelder-Mead",
+            options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": maxiter, "maxfev": maxfev},
+        )
+        if distinct:
+            assert len(set(seen)) == n_ours, "tied values: the two may order them differently"
+        hexes = lambda values: [float(v).hex() for v in values]
+        assert hexes(ours.x) == hexes(ref.x)
+        assert float(ours.fun).hex() == float(ref.fun).hex()
+        assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, bool(ref.success))
+        assert [hexes(v) for v in ours.simplex] == [hexes(v) for v in ref.final_simplex[0]]
+        return ours
+
+    @pytest.mark.parametrize("name", ["quadratic", "rosenbrock"])
+    def test_matches_scipy_on_distinct_values(self, name):
+        res = self.compare(getattr(self, name), [-1.2, 1.0, 0.0, 0.8], 2000, 8000)
+        assert res.success and res.nit > 100
+
+    def test_matches_scipy_on_the_qml_objective(self):
+        # near its optimum the objective repeats values, so the run stops
+        # after 150 iterations, well before the first repeat
+        x0 = np.log([DESK.kappa, DESK.theta, DESK.sigma, 1e-3]).tolist()
+        res = self.compare(self.desk_objective(), x0, 150, 8000)
+        assert res.nit == 150 and not res.success
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 7])
+    def test_tiny_maxiter_stops_as_scipy_does(self, maxiter):
+        res = self.compare(self.rosenbrock, [-1.2, 1.0, 0.0, 0.8], maxiter, 8000)
+        assert res.nit == maxiter and not res.success
+
+    @pytest.mark.parametrize("done", [0, 1, 2])
+    def test_maxfev_inside_a_shrink_stops_as_scipy_does(self, done):
+        x0 = [1.0, -2.0, 0.5]
+        start = {tuple(x0)} | {
+            tuple((1 + 0.05) * v if i == k else v for i, v in enumerate(x0)) for k in range(3)
+        }
+
+        def f(x):
+            # every point off the initial simplex is worse than all of it, so
+            # the first iteration reflects, contracts inside, then shrinks
+            return sum(v * v for v in x) + (0.0 if tuple(x) in start else 1e3)
+
+        # 4 initial values, the reflection and the contraction, then `done`
+        # of the 3 shrink evaluations before the budget runs out
+        res = self.compare(f, x0, 2000, 4 + 2 + done)
+        assert res.nfev == 6 + done and res.nit == 1 and not res.success
+
+    def test_tied_values_keep_index_order(self):
+        # initial values [0, P, P, P, 0]: numpy's argsort here orders them
+        # [0, 4, 2, 1, 3]; the search must use [0, 4, 1, 2, 3] on any machine
+        x0 = [1.0, 1.0, 1.0, -0.5]
+        simplex = [list(x0)]
+        for k in range(4):
+            v = list(x0)
+            v[k] = (1 + 0.05) * v[k]
+            simplex.append(v)
+        res = _nelder_mead(lambda x: _PENALTY if max(x) > 1.0 else 0.0, x0, 1, 8000)
+        assert res.simplex == [simplex[i] for i in (0, 4, 1, 2, 3)]
+        assert (res.x, res.fun, res.nfev, res.nit, res.success) == (x0, 0.0, 5, 1, False)
 
 
 class TestLjungBox:

@@ -6,7 +6,8 @@ benchmark tracer reads them too), and the package exports their union.
 Intra-package imports sit at module level, where the import graph is
 acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
 with data_io on its own.  scipy loads only inside the functions that use
-it, so the package imports, simulates and evaluates the count law without it.
+it, so the package imports, simulates and evaluates the count law without it,
+and fits without ``scipy.optimize``.
 """
 
 import ast
@@ -108,6 +109,7 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
         ["simulate", ["simulate", "--model", str(model), "--out", out, "--len", "5"]],
         ["pmf", ["pmf", "--model", str(model), "--out", out, "--kmax", "20"]],
         ["fit", ["fit", "--data", str(dense), "--out", out, "--seed", "1"]],
+        ["validate", ["validate", "--model", str(model), "--out", out, "--reps", "2", "--len", "30"]],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(commands)],
@@ -120,4 +122,6 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
     assert seen["import"] == [], seen["import"]
     assert seen["simulate"] == [], seen["simulate"]
     assert seen["pmf"] == [], seen["pmf"]
-    assert "scipy.stats" not in seen["fit"]
+    for name in ("fit", "validate"):
+        assert "scipy.stats" not in seen[name], seen[name]
+        assert "scipy.optimize" not in seen[name], seen[name]
