@@ -465,7 +465,7 @@ def fit(
     kappa, theta, sigma, R = np.exp(best.x)
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
     diameter = max(abs(a - b) for v in best.simplex for a, b in zip(v, best.x))
-    converged = bool(best.success) or diameter < _XATOL
+    converged = best.success or diameter < _XATOL
 
     se = std_errors(params, R, y, spec)
     filt = kalman_filter(params, R, y, spec)
