@@ -13,7 +13,9 @@ estimation failure), 2 usage or data errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import multiprocessing
 import os
 import sys
 
@@ -135,6 +137,14 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.data is None:
         raise ValueError("fit requires --data <events csv>")
@@ -143,38 +153,47 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if args.config
         else data_io.PipelineConfig()
     )
-    log = data_io.load_events(args.data)
-    series = data_io.aggregate(
-        log,
-        interval=pipeline.interval_seconds,
-        sessions=pipeline.sessions,
-        average_days=pipeline.average_days,
-    )
-    series = data_io.to_observable(series, M=pipeline.M, mapping=pipeline.mapping)
+    workers = min(_usable_cpus(), estimate.FitOptions().n_restarts + 1)
+    with contextlib.ExitStack() as stack:
+        restart_map = map
+        if workers > 1:
+            # spawn, not fork: numpy has started threads by now.  A pool
+            # starts its workers at once, so their imports overlap ingest.
+            pool = multiprocessing.get_context("spawn").Pool(workers)
+            restart_map = stack.enter_context(pool).map
+        log = data_io.load_events(args.data)
+        series = data_io.aggregate(
+            log,
+            interval=pipeline.interval_seconds,
+            sessions=pipeline.sessions,
+            average_days=pipeline.average_days,
+        )
+        series = data_io.to_observable(series, M=pipeline.M, mapping=pipeline.mapping)
 
-    y = series.observable
-    if pipeline.mapping == "frequency":
-        y = 1.0 - y
-    delta = series.delta_minutes
-    spec = estimate.StateSpaceSpec(
-        delta=delta,
-        window=delta / series.M,
-        mapping=_PIPELINE_TO_MEASUREMENT[pipeline.mapping],
-    )
-    init = None
-    if args.model:
-        init = _require_feller(load_model(args.model), "fit initialization")
-    cfg = _config_dict(args, model=init, pipeline=pipeline)
-    cfg["n_obs"] = int(y.size)
-    cfg["spec"] = {"delta": spec.delta, "window": spec.window, "mapping": spec.mapping}
+        y = series.observable
+        if pipeline.mapping == "frequency":
+            y = 1.0 - y
+        delta = series.delta_minutes
+        spec = estimate.StateSpaceSpec(
+            delta=delta,
+            window=delta / series.M,
+            mapping=_PIPELINE_TO_MEASUREMENT[pipeline.mapping],
+        )
+        init = None
+        if args.model:
+            init = _require_feller(load_model(args.model), "fit initialization")
+        cfg = _config_dict(args, model=init, pipeline=pipeline)
+        cfg["n_obs"] = int(y.size)
+        cfg["spec"] = {"delta": spec.delta, "window": spec.window, "mapping": spec.mapping}
 
-    result = estimate.fit(
-        y,
-        spec,
-        init=init,
-        R_init=max(0.5 * float(np.std(y)), 1e-6),
-        rng=RngStream(args.seed),
-    )
+        result = estimate.fit(
+            y,
+            spec,
+            init=init,
+            R_init=max(0.5 * float(np.std(y)), 1e-6),
+            rng=RngStream(args.seed),
+            restart_map=restart_map,
+        )
     filt = result.filter_output
 
     payload = result.as_dict()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -423,6 +423,16 @@ def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
     return _Search(sim[0], fsim[0], nfev, nit, success, sim)
 
 
+def _search_from(task) -> _Search:
+    """One restart of ``fit``: the simplex search from the point ``x``.
+
+    The objective is built here, in the process that runs the search,
+    because its closure cannot be pickled.
+    """
+    y, spec, x, maxiter = task
+    return _nelder_mead(_objective(y, spec), x, maxiter, 4 * maxiter)
+
+
 def fit(
     obs,
     spec: StateSpaceSpec = StateSpaceSpec(),
@@ -430,6 +440,7 @@ def fit(
     R_init: float = 1e-3,
     options: FitOptions = FitOptions(),
     rng: Optional[RngStream] = None,
+    restart_map: Callable = map,
 ) -> EstimationResult:
     """Maximize the quasi log-likelihood over (kappa, theta, sigma, R).
 
@@ -439,6 +450,16 @@ def fit(
     flooring in the filter makes the objective only piecewise smooth, which
     rules out gradient methods.  The search orders tied vertex values by
     vertex index, so the fitted bits do not depend on the machine's sort.
+
+    All starting points are drawn first, from one generator of ``rng``, and
+    each search runs as ``_search_from((y, spec, x, maxiter))``.
+    ``restart_map(_search_from, tasks)`` runs them: it must return the
+    results in task order, as the builtin ``map`` (the default, one search
+    after another) and ``multiprocessing.pool.Pool.map`` do.  A pool's
+    ``map`` pickles the tasks and the results and runs the searches in its
+    worker processes; the best search is picked in restart order either way,
+    so the result is bit-identical for any map.
+
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
     """
@@ -451,12 +472,12 @@ def fit(
         rng = RngStream(0)
     x0 = np.log([init.kappa, init.theta, init.sigma, max(R_init, 1e-12)])
 
-    objective = _objective(y, spec)
-    best = None
     gen = rng.generator()
-    for r in range(options.n_restarts + 1):
-        xr = x0 if r == 0 else x0 + _PERTURB_SCALE * gen.standard_normal(4)
-        res = _nelder_mead(objective, xr.tolist(), options.maxiter, 4 * options.maxiter)
+    starts = [x0]
+    starts += [x0 + _PERTURB_SCALE * gen.standard_normal(4) for _ in range(options.n_restarts)]
+    tasks = [(y, spec, x.tolist(), options.maxiter) for x in starts]
+    best = None
+    for res in restart_map(_search_from, tasks):
         if res.fun < _PENALTY and (best is None or res.fun < best.fun):
             best = res
     if best is None:

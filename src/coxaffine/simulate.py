@@ -190,8 +190,15 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
 
 
 def default_n_steps(model: FellerModel, horizon: float) -> int:
-    """Grid resolution keeping the hazard trapezoid bias well under Monte
-    Carlo error: dt <= min(0.01, 1/(10 kappa))."""
+    """Grid resolution for simulated hazards: dt <= min(0.01, 1/(10 kappa)).
+
+    The trapezoid hazard carries an O(dt^2) bias that no standard error
+    includes.  It is small against Monte Carlo error in the bulk of the
+    count law, not in its far tail: for kappa 1.343, theta 0.792, sigma
+    0.586 over horizon 2 (200 steps), 1e5 paths put p(20) 6.1 standard
+    errors below the exact value; with 800 steps every k <= 20 is within
+    1.4.
+    """
     dt_max = min(0.01, 1.0 / (10.0 * model.kappa))
     return max(1, int(math.ceil(horizon / dt_max)))
 
@@ -338,9 +345,11 @@ def monte_carlo_pmf(
 
     Conditioning on the hazard (rather than sampling counts) removes the
     multinomial noise layer, so standard errors reflect only hazard
-    variability.  Blocks of ``BLOCK_SIZE`` paths each use their own child
-    stream and are reduced in index order: the result is bit-identical for
-    any scheduling of the blocks.
+    variability.  They leave out the bias of the trapezoid hazard on the
+    ``n_steps`` grid (``default_n_steps`` by default), which can exceed
+    them in the far tail of the count law.  Blocks of ``BLOCK_SIZE`` paths
+    each use their own child stream and are reduced in index order: the
+    result is bit-identical for any scheduling of the blocks.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")

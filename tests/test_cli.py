@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, exit codes, byte determinism."""
 
 import json
+import multiprocessing
 import os
 import shutil
 
@@ -127,6 +128,26 @@ class TestFit:
         params_rows = (out / "params.csv").read_text().splitlines()
         assert params_rows[1] == "parameter,estimate,std_error"
         assert [r.split(",")[0] for r in params_rows[2:]] == ["kappa", "theta", "sigma", "R"]
+
+    def test_one_cpu_starts_no_pool_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        contexts = []
+        get_context = multiprocessing.get_context
+
+        def recorded(method=None):
+            contexts.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recorded)
+        out = tmp_path / "run"
+        argv = ["fit", "--data", DENSE, "--out", str(out), "--seed", "1"]
+        written = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert main(argv) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert contexts == ["spawn"]  # the two-CPU run only
+        assert written[0] == written[1]
+        assert multiprocessing.active_children() == []
 
     def test_frequency_pipeline(self, tmp_path):
         cfg = tmp_path / "pipeline.json"

@@ -9,6 +9,7 @@ near machine precision.
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from coxaffine import (
     EstimationError,
     EstimationResult,
     FellerModel,
+    FilterOutput,
     FitOptions,
     LjungBoxReport,
     RngStream,
@@ -237,6 +239,35 @@ class TestFit:
             StateSpaceSpec(mapping="identity")
         with pytest.raises(ValueError):
             StateSpaceSpec(obs_scale=0.0)
+
+    def test_pool_map_gives_the_same_bits(self):
+        y, spec = self.make_series(100)
+        serial = fit(y, spec, init=DESK, rng=RngStream(606))
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            pooled = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=pool.map)
+        assert json.dumps(pooled.as_dict()) == json.dumps(serial.as_dict())
+        for field in dataclasses.fields(FilterOutput):
+            a = getattr(serial.filter_output, field.name)
+            b = getattr(pooled.filter_output, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    def test_starting_points_are_drawn_in_restart_order(self):
+        y, spec = self.make_series(100)
+        opts = FitOptions(n_restarts=4, maxiter=20)
+        tasks = []
+
+        def recording_map(func, items):
+            tasks.extend(items)
+            return map(func, items)
+
+        fit(y, spec, init=DESK, R_init=2e-3, options=opts, rng=RngStream(607),
+            restart_map=recording_map)
+        x0 = np.log([DESK.kappa, DESK.theta, DESK.sigma, 2e-3])
+        gen = RngStream(607).generator()
+        expected = [x0.tolist()]
+        expected += [(x0 + 0.7 * gen.standard_normal(4)).tolist() for _ in range(4)]
+        assert [x for _, _, x, _ in tasks] == expected
+        assert all(t[0] is y and t[1] == spec and t[3] == 20 for t in tasks)
 
     def test_std_errors_direct_call(self):
         y, spec = self.make_series(800)

@@ -7,7 +7,8 @@ Intra-package imports sit at module level, where the import graph is
 acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
 with data_io on its own.  scipy loads only inside the functions that use
 it, so the package imports, simulates and evaluates the count law without it,
-and fits without ``scipy.optimize``.
+and fits without ``scipy.optimize``.  Importing the CLI starts no process,
+and ``fit``'s worker pool does not outlive the command.
 """
 
 import ast
@@ -82,16 +83,20 @@ def test_package_imports_in_one_direction():
 
 
 _PROBE = """
-import json, sys
+import json, multiprocessing, sys
 from coxaffine import cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-seen = {"import": loaded()}
+def children(stage):
+    return [f"{stage}: {p.name}" for p in multiprocessing.active_children()]
+
+seen = {"import": loaded(), "children": children("import")}
 for name, argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, name
     seen[name] = loaded()
+    seen["children"] += children(name)
 print(json.dumps(seen))
 """
 
@@ -120,6 +125,8 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == [], seen["import"]
+    # importing starts no process, and no command leaves one running
+    assert seen["children"] == [], seen["children"]
     assert seen["simulate"] == [], seen["simulate"]
     assert seen["pmf"] == [], seen["pmf"]
     for name in ("fit", "validate"):
