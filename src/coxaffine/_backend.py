@@ -29,19 +29,13 @@ def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
     innovation, innovation_var)`` to it.
     """
     log = math.log
+    aa = a * a
+    cc = c * c
     ll = 0.0
-    m = m0
-    p = p0
+    mp, pp = m0, p0
     for t, yt in enumerate(y):
-        if t > 0:
-            q = q0 + q1 * m
-            mp = a * m + b
-            pp = a * a * p + q
-        else:
-            mp = m0
-            pp = p0
         v = yt - (d + c * mp)
-        s = c * c * pp + r2
+        s = cc * pp + r2
         if not (s > 0.0):
             return math.nan, t
         k = pp * c / s
@@ -52,6 +46,8 @@ def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
         if steps is not None:
             steps.append((mp, pp, m, p, v, s))
         ll += -0.5 * (_LOG_2PI + log(s) + v * v / s)
+        mp = a * m + b
+        pp = aa * p + (q0 + q1 * m)
     return ll, -1
 
 

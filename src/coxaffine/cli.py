@@ -13,9 +13,7 @@ estimation failure), 2 usage or data errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import multiprocessing
 import os
 import sys
 
@@ -137,14 +135,6 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.data is None:
         raise ValueError("fit requires --data <events csv>")
@@ -153,14 +143,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if args.config
         else data_io.PipelineConfig()
     )
-    workers = min(_usable_cpus(), estimate.FitOptions().n_restarts + 1)
-    with contextlib.ExitStack() as stack:
-        restart_map = map
-        if workers > 1:
-            # spawn, not fork: numpy has started threads by now.  A pool
-            # starts its workers at once, so their imports overlap ingest.
-            pool = multiprocessing.get_context("spawn").Pool(workers)
-            restart_map = stack.enter_context(pool).map
+    init = None
+    if args.model:
+        init = _require_feller(load_model(args.model), "fit initialization")
+    with open(args.data, "rb"):  # an unreadable log fails before any worker starts
+        pass
+    # the CPUs this process may run on: its affinity mask, where there is one
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with estimate.worker_map(min(cpus, estimate.FitOptions().n_restarts + 1)) as restart_map:
         log = data_io.load_events(args.data)
         series = data_io.aggregate(
             log,
@@ -179,9 +172,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             window=delta / series.M,
             mapping=_PIPELINE_TO_MEASUREMENT[pipeline.mapping],
         )
-        init = None
-        if args.model:
-            init = _require_feller(load_model(args.model), "fit initialization")
         cfg = _config_dict(args, model=init, pipeline=pipeline)
         cfg["n_obs"] = int(y.size)
         cfg["spec"] = {"delta": spec.delta, "window": spec.window, "mapping": spec.mapping}

@@ -17,10 +17,11 @@ observation vector when the per-step variances are held fixed.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "simulate_observations",
     "replication_study",
     "ReplicationSummary",
+    "worker_map",
 ]
 
 _MAPPINGS = ("log_prob_no_arrival", "prob_no_arrival", "direct_state")
@@ -423,6 +425,21 @@ def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
     return _Search(sim[0], fsim[0], nfev, nit, success, sim)
 
 
+@contextlib.contextmanager
+def worker_map(workers: int) -> Iterator[Callable]:
+    """The builtin ``map`` when ``workers <= 1``, else the ``map`` of a pool
+    of ``workers`` processes started with ``spawn`` (numpy has started threads
+    in this process, so not ``fork``) and shut down on exit.  Both return
+    results in task order.  The workers start at once, overlapping the work
+    done inside the block.
+    """
+    if workers <= 1:
+        yield map
+        return
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        yield pool.map
+
+
 def _search_from(task) -> _Search:
     """One restart of ``fit``: the simplex search from the point ``x``.
 
@@ -455,7 +472,7 @@ def fit(
     each search runs as ``_search_from((y, spec, x, maxiter))``.
     ``restart_map(_search_from, tasks)`` runs them: it must return the
     results in task order, as the builtin ``map`` (the default, one search
-    after another) and ``multiprocessing.pool.Pool.map`` do.  A pool's
+    after another) and the map of ``worker_map`` do.  A pool's
     ``map`` pickles the tasks and the results and runs the searches in its
     worker processes; the best search is picked in restart order either way,
     so the result is bit-identical for any map.
@@ -714,36 +731,25 @@ def replication_study(
 ) -> ReplicationSummary:
     """Simulate ``n_reps`` observable series from the model and refit each.
 
-    Replications use independent child streams indexed by replication number
-    and are aggregated in index order, so the summary is identical for any
-    ``jobs``.  Each fit starts from the true model with ``R_init = R``.
-    Individual replication failures are recorded and excluded.
+    Replication ``rep`` uses the child stream ``rng.spawn(rep)``, and its fit
+    starts from the true model with ``R_init = R``.  The replications run on
+    ``worker_map(min(jobs, n_reps))``, which returns them in replication order,
+    so the summary is bit-identical for any ``jobs``.  Individual replication
+    failures are recorded and excluded.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            raw = list(ex.map(_replicate_one, payloads, chunksize=max(1, n_reps // (4 * jobs))))
-    else:
-        raw = [_replicate_one(p) for p in payloads]
-    raw.sort(key=lambda r: r[0])
+    with worker_map(min(jobs, n_reps)) as rep_map:
+        payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
+        raw = list(rep_map(_replicate_one, payloads))
 
-    rows = []
-    conv = []
-    lb = []
-    failures = []
-    for rep, ok, err in raw:
-        if ok is None:
-            failures.append((rep, err))
-        else:
-            rows.append(ok[0])
-            conv.append(ok[1])
-            lb.append(ok[2])
-    if not rows:
+    failures = tuple((rep, err) for rep, ok, err in raw if ok is None)
+    done = [ok for _, ok, _ in raw if ok is not None]
+    if not done:
         raise EstimationError("every replication failed")
+    rows, conv, lb = zip(*done)
     return ReplicationSummary(
         true_values={
             "kappa": true_params.kappa,
@@ -756,5 +762,5 @@ def replication_study(
         lb_passed=np.asarray(lb, dtype=bool),
         n_requested=n_reps,
         n_failed=len(failures),
-        failures=tuple(failures),
+        failures=failures,
     )

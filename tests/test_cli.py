@@ -25,6 +25,21 @@ def write_model(tmp_path, doc, name="model.json"):
     return str(p)
 
 
+@pytest.fixture
+def contexts(monkeypatch):
+    """The start methods of every ``multiprocessing.get_context`` call, on two CPUs."""
+    calls = []
+    get_context = multiprocessing.get_context
+
+    def recorded(method=None):
+        calls.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
 def read_config_line(path):
     with open(path) as fh:
         first = fh.readline()
@@ -129,15 +144,9 @@ class TestFit:
         assert params_rows[1] == "parameter,estimate,std_error"
         assert [r.split(",")[0] for r in params_rows[2:]] == ["kappa", "theta", "sigma", "R"]
 
-    def test_one_cpu_starts_no_pool_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        contexts = []
-        get_context = multiprocessing.get_context
-
-        def recorded(method=None):
-            contexts.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    def test_one_cpu_starts_no_pool_and_writes_the_same_bytes(
+        self, tmp_path, monkeypatch, contexts
+    ):
         out = tmp_path / "run"
         argv = ["fit", "--data", DENSE, "--out", str(out), "--seed", "1"]
         written = []
@@ -191,11 +200,19 @@ class TestValidate:
         assert est_rows[0] == "kappa,theta,sigma,R,converged,ljung_box_clean"
         assert len(est_rows) == 7
 
+    def test_one_replication_starts_no_pool(self, tmp_path, contexts):
+        model = write_model(tmp_path, DESK_MODEL)
+        argv = ["validate", "--model", model, "--out", str(tmp_path / "run"),
+                "--reps", "1", "--len", "100", "--jobs", "2"]
+        assert main(argv) == 0
+        assert contexts == []
+
 
 class TestExitCodes:
-    def test_missing_data_file(self, tmp_path):
+    def test_missing_data_file(self, tmp_path, contexts):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert contexts == []  # no worker started for a log that cannot be read
 
     def test_malformed_model_json(self, tmp_path):
         p = tmp_path / "model.json"

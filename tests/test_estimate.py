@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -466,11 +467,18 @@ class TestReplication:
         assert summary.estimates[0, 3] == manual.R
         assert summary.converged[0] == manual.converged
 
-    def test_jobs_do_not_change_results(self):
+    def test_jobs_do_not_change_results(self, monkeypatch):
         serial = replication_study(DESK, 4, 250, RngStream(902), spec=self.SPEC)
+
+        def no_fork():
+            raise AssertionError("replication_study forked this process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         parallel = replication_study(DESK, 4, 250, RngStream(902), spec=self.SPEC, jobs=2)
-        assert np.array_equal(serial.estimates, parallel.estimates)
+        assert serial.estimates.tobytes() == parallel.estimates.tobytes()
+        assert np.array_equal(serial.converged, parallel.converged)
         assert np.array_equal(serial.lb_passed, parallel.lb_passed)
+        assert serial.failures == parallel.failures
 
     def test_aggregates(self):
         summary = replication_study(DESK, 3, 250, RngStream(903), spec=self.SPEC)

@@ -5,6 +5,9 @@ passes a list to collect the per-step quantities.  Both must give the same
 loglik bits and the same err_index on any input, including a binding zero
 floor, a nonpositive innovation variance and NaN data.  The objective must
 call the kernel through ``estimate.filter_kernel``, where a tracer can see it.
+The kernel predicts each step at the end of the one before; it must give the
+bits of the loop that predicted at the top of each step, kept here as
+``reference_kernel``.
 """
 
 import math
@@ -40,6 +43,33 @@ def same_bits(x, y):
     return (math.isnan(x) and math.isnan(y)) or float(x).hex() == float(y).hex()
 
 
+def reference_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps):
+    """The filter loop as it stood before its first step was peeled."""
+    ll = 0.0
+    m = m0
+    p = p0
+    for t, yt in enumerate(y):
+        if t > 0:
+            q = q0 + q1 * m
+            mp = a * m + b
+            pp = a * a * p + q
+        else:
+            mp = m0
+            pp = p0
+        v = yt - (d + c * mp)
+        s = c * c * pp + r2
+        if not (s > 0.0):
+            return math.nan, t
+        k = pp * c / s
+        m = mp + k * v
+        if m < 0.0:
+            m = 0.0
+        p = (1.0 - k * c) * pp
+        steps.append((mp, pp, m, p, v, s))
+        ll += -0.5 * (math.log(2.0 * math.pi) + math.log(s) + v * v / s)
+    return ll, -1
+
+
 def full_pass(y, args):
     steps = []
     ll, err = filter_kernel([float(v) for v in y], *args, steps)
@@ -59,6 +89,20 @@ def assert_parity(y, args):
 @given(st.lists(obs, min_size=1, max_size=40), coeffs)
 def test_loglik_pass_matches_full_kernel(y, args):
     assert_parity(y, args)
+
+
+@SETTINGS
+@given(st.lists(obs, min_size=1, max_size=40), coeffs)
+def test_kernel_matches_the_reference_loop(y, args):
+    y = [float(v) for v in y]
+    ref_steps = []
+    ref_ll, ref_err = reference_kernel(y, *args, ref_steps)
+    ll, err, steps = full_pass(y, args)
+    assert err == ref_err
+    assert same_bits(ll, ref_ll)
+    assert len(steps) == len(ref_steps)
+    for got, want in zip(steps, ref_steps):
+        assert all(same_bits(g, w) for g, w in zip(got, want)), (got, want)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
 with data_io on its own.  scipy loads only inside the functions that use
 it, so the package imports, simulates and evaluates the count law without it,
 and fits without ``scipy.optimize``.  Importing the CLI starts no process,
-and ``fit``'s worker pool does not outlive the command.
+and the worker pool of ``fit`` or ``validate`` does not outlive the command.
 """
 
 import ast
@@ -115,6 +115,8 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
         ["pmf", ["pmf", "--model", str(model), "--out", out, "--kmax", "20"]],
         ["fit", ["fit", "--data", str(dense), "--out", out, "--seed", "1"]],
         ["validate", ["validate", "--model", str(model), "--out", out, "--reps", "2", "--len", "30"]],
+        ["validate_pool", ["validate", "--model", str(model), "--out", out, "--reps", "2",
+                           "--len", "30", "--jobs", "2"]],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(commands)],
