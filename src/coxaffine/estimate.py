@@ -715,9 +715,9 @@ def _replicate_one(args) -> tuple:
     try:
         result = fit(y, spec, init=model, R_init=R, rng=stream.spawn(1))
     except (EstimationError, ValueError, ArithmeticError) as exc:
-        return rep, None, str(exc)
+        return None, str(exc)
     est = (result.params.kappa, result.params.theta, result.params.sigma, result.R)
-    return rep, (est, result.converged, result.diagnostics.passed()), None
+    return (est, result.converged, result.diagnostics.passed()), None
 
 
 def replication_study(
@@ -745,8 +745,8 @@ def replication_study(
         payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
         raw = list(rep_map(_replicate_one, payloads))
 
-    failures = tuple((rep, err) for rep, ok, err in raw if ok is None)
-    done = [ok for _, ok, _ in raw if ok is not None]
+    failures = tuple((rep, err) for rep, (ok, err) in enumerate(raw) if ok is None)
+    done = [ok for ok, _ in raw if ok is not None]
     if not done:
         raise EstimationError("every replication failed")
     rows, conv, lb = zip(*done)

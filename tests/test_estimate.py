@@ -35,6 +35,7 @@ from coxaffine import (
     simulate_observations,
     std_errors,
 )
+from coxaffine import estimate
 from coxaffine.estimate import _FATOL, _PENALTY, _XATOL, _filter_coeffs, _nelder_mead, _objective
 
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
@@ -492,6 +493,23 @@ class TestReplication:
         assert counts.sum() == 3 and edges.size == 9
         with pytest.raises(ValueError):
             summary.histogram("lambda0")
+
+    def test_failures_keep_their_replication_index(self, monkeypatch):
+        full = replication_study(DESK, 3, 100, RngStream(905), spec=self.SPEC)
+        calls = []
+        real_fit = estimate.fit
+
+        def fit_failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ArithmeticError("second fit fails")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "fit", fit_failing_second)
+        summary = replication_study(DESK, 3, 100, RngStream(905), spec=self.SPEC)
+        assert summary.failures == ((1, "second fit fails"),)
+        assert summary.n_failed == 1 and summary.n_requested == 3
+        assert summary.estimates.tobytes() == full.estimates[[0, 2]].tobytes()
 
     def test_all_failures_raise(self):
         # series shorter than the fit's minimum: every replication fails
