@@ -44,7 +44,8 @@ def same_bits(x, y):
 
 
 def reference_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps):
-    """The filter loop as it stood before its first step was peeled."""
+    """The filter loop that predicts at the top of each step, with a branch
+    for the first; ``filter_kernel`` must give its bits."""
     ll = 0.0
     m = m0
     p = p0
