@@ -73,7 +73,7 @@ def _write_csv(path: str, cfg: dict, header, rows) -> None:
         fh.write(f"# {_config_line(cfg)}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
 def _require_feller(model, what: str) -> FellerModel:

@@ -37,10 +37,7 @@ __all__ = [
 _EPOCH = datetime(1970, 1, 1)
 _MS = timedelta(milliseconds=1)
 _DAY_MS = 86_400_000
-_SIDES = ("", "buy", "sell")
-_SIDE_CODE = {tag: c for c, tag in enumerate(_SIDES)}
-# object dtype: every tag in a loaded log is one of these three strings, not a copy
-_SIDE_TAGS = np.array(_SIDES, dtype=object)
+_SIDES = ("", "buy", "sell")  # EventLog.side codes index this tuple
 _BLOCK_LINES = 65_536
 # the canonical timestamp YYYY-MM-DDTHH:MM:SS.mmm, by byte offset
 _TS_WIDTH = 23
@@ -78,13 +75,15 @@ def _coerce_time(value) -> time:
 class EventLog:
     """Validated, time-ordered arrival events at millisecond resolution.
 
-    ``side`` holds one tag per event ("buy", "sell", or "" when absent).
+    ``side`` holds one ``int8`` code per event indexing ``("", "buy", "sell")``:
+    0 no side, 1 buy, 2 sell.  Any integer array of such codes is accepted;
+    an empty one means all 0.
     ``n_rejected``/``rejected_lines`` record rows the loader could not parse.
     Read-only after construction; safe for concurrent reads.
     """
 
     timestamps_ms: np.ndarray
-    side: tuple = ()
+    side: np.ndarray = ()
     instrument: str = ""
     n_rejected: int = 0
     rejected_lines: tuple = ()
@@ -93,13 +92,17 @@ class EventLog:
         ts = np.ascontiguousarray(self.timestamps_ms, dtype=np.int64)
         ts.setflags(write=False)
         object.__setattr__(self, "timestamps_ms", ts)
-        side = tuple(self.side) if len(self.side) else ("",) * ts.size
+        side = np.asarray(self.side)
+        if side.size == 0:
+            side = np.zeros(ts.size, dtype=np.int8)
+        # checked before narrowing, so a wide code such as 258 cannot wrap into range
+        elif side.dtype.kind not in "iu" or side.min() < 0 or side.max() >= len(_SIDES):
+            raise ValueError(f"side must hold integer codes 0-2 indexing {_SIDES}")
+        if side.ndim != 1 or side.size != ts.size:
+            raise ValueError(f"side has {side.size} entries for {ts.size} timestamps")
+        side = side.astype(np.int8)  # a copy: the caller's array stays writable
+        side.setflags(write=False)
         object.__setattr__(self, "side", side)
-        if len(side) != ts.size:
-            raise ValueError(f"side has {len(side)} entries for {ts.size} timestamps")
-        bad = set(side) - set(_SIDES)
-        if bad:
-            raise ValueError(f"side tags must be in {_SIDES}, got {sorted(bad)}")
         if ts.size > 1 and np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be nondecreasing")
 
@@ -126,7 +129,8 @@ def load_events(path) -> EventLog:
     vectorized blocks; every other row goes through the row rules above.
     A file that holds a ``"``, a non-ASCII or NUL byte, a lone carriage
     return or a line longer than ``csv.field_size_limit()`` cannot be split
-    at newline bytes, and is read row by row with ``csv.DictReader``.
+    at newline bytes, and is read row by row with ``csv.DictReader``; a
+    row that ``csv`` cannot split raises ValueError naming its line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -145,7 +149,7 @@ def load_events(path) -> EventLog:
         codes = codes[order]
     return EventLog(
         timestamps_ms=ts,
-        side=tuple(_SIDE_TAGS[codes].tolist()),
+        side=codes,
         instrument=instrument,
         n_rejected=len(rejected),
         rejected_lines=tuple(rejected),
@@ -153,7 +157,7 @@ def load_events(path) -> EventLog:
 
 
 def _parse_row(stamp, side):
-    """The row rules: ``(ms, side)`` for an accepted row, None for a reject.
+    """The row rules: ``(ms, side code)`` for an accepted row, None for a reject.
 
     ``stamp`` and ``side`` are the raw field texts, None where the row has
     no such column.
@@ -165,7 +169,7 @@ def _parse_row(stamp, side):
         return None
     if side not in _SIDES:
         return None
-    return ms, side
+    return ms, _SIDES.index(side)
 
 
 def _check_header(path, fieldnames) -> None:
@@ -181,17 +185,20 @@ def _read_rows(path):
     rejected = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is not None:  # None: the file is only a byte order mark
-            _check_header(path, reader.fieldnames)
-        for row in reader:
-            parsed = _parse_row(row.get("timestamp"), row.get("side"))
-            if parsed is None:
-                rejected.append(reader.line_num)
-                continue
-            stamps.append(parsed[0])
-            codes.append(_SIDE_CODE[parsed[1]])
-            if not instrument:
-                instrument = (row.get("instrument") or "").strip()
+        try:
+            if reader.fieldnames is not None:  # None: the file is only a byte order mark
+                _check_header(path, reader.fieldnames)
+            for row in reader:
+                parsed = _parse_row(row.get("timestamp"), row.get("side"))
+                if parsed is None:
+                    rejected.append(reader.line_num)
+                    continue
+                stamps.append(parsed[0])
+                codes.append(parsed[1])
+                if not instrument:
+                    instrument = (row.get("instrument") or "").strip()
+        except csv.Error as exc:  # DictReader.line_num would omit the row that failed
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     return np.array(stamps, dtype=np.int64), np.array(codes, dtype=np.int8), instrument, rejected
 
 
@@ -236,8 +243,8 @@ def _read_lines(path, data: bytes, starts: np.ndarray, ends: np.ndarray):
     _check_header(path, fieldnames)
     # a repeated name reads its last column, as in csv.DictReader
     column = {name: k for k, name in enumerate(fieldnames)}
-    stamps = []
-    codes = []
+    stamps = [np.empty(0, dtype=np.int64)]
+    codes = [np.empty(0, dtype=np.int8)]
     instrument = ""
     rejected = []
     for lo in range(1, starts.size, _BLOCK_LINES):
@@ -274,7 +281,7 @@ def _read_lines(path, data: bytes, starts: np.ndarray, ends: np.ndarray):
                 rejected.append(lo + i + 1)
                 continue
             ms[i] = parsed[0]
-            code[i] = _SIDE_CODE[parsed[1]]
+            code[i] = parsed[1]
             ok[i] = True
         if not instrument:
             in_s, in_e = field("instrument")
@@ -284,8 +291,6 @@ def _read_lines(path, data: bytes, starts: np.ndarray, ends: np.ndarray):
                     break
         stamps.append(ms[ok])
         codes.append(code[ok])
-    if not stamps:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), instrument, rejected
     return np.concatenate(stamps), np.concatenate(codes), instrument, rejected
 
 
@@ -338,8 +343,8 @@ def save_events(log: EventLog, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "side", "instrument"])
-        for ms, side in zip(log.timestamps_ms, log.side):
-            writer.writerow([_format_timestamp_ms(ms), side, log.instrument])
+        for ms, code in zip(log.timestamps_ms.tolist(), log.side.tolist()):
+            writer.writerow([_format_timestamp_ms(ms), _SIDES[code], log.instrument])
 
 
 @dataclass(frozen=True)

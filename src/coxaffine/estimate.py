@@ -39,7 +39,6 @@ __all__ = [
     "FitOptions",
     "EstimationError",
     "kalman_filter",
-    "qml_loglik",
     "fit",
     "std_errors",
     "ljung_box",
@@ -287,13 +286,6 @@ def kalman_filter(
         one_step_fit=coeffs.d + coeffs.c * pm,
         loglik=float(ll),
     )
-
-
-def qml_loglik(
-    params: FellerModel, R: float, obs, spec: StateSpaceSpec = StateSpaceSpec()
-) -> float:
-    """Quasi log-likelihood: sum of Gaussian innovation terms over all steps."""
-    return kalman_filter(params, R, obs, spec).loglik
 
 
 _PENALTY = 1e12
@@ -690,14 +682,16 @@ class ReplicationSummary:
         return self.estimates.std(axis=0, ddof=1)
 
     def summary_rows(self) -> list:
-        means, mqes, stds = self.mean_estimates(), self.mqe(), self.std()
+        """One dict per parameter; ``std_dev`` is None below two replications."""
+        means, mqes = self.mean_estimates(), self.mqe()
+        stds = self.std().tolist() if len(self.estimates) > 1 else [None] * len(_PARAM_NAMES)
         return [
             {
                 "parameter": p,
                 "true_value": self.true_values[p],
                 "mean_estimate": float(means[i]),
                 "mqe": float(mqes[i]),
-                "std_dev": float(stds[i]),
+                "std_dev": stds[i],
             }
             for i, p in enumerate(_PARAM_NAMES)
         ]

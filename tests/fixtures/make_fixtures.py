@@ -32,6 +32,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 DAY_MS = 86_400_000
 SESSION_START_MS = 10 * 3_600_000
 SESSION_MIN = 480
+SELL = 2  # EventLog.side code of "sell"
 
 DENSE = FellerModel(kappa=0.2, theta=0.5, sigma=0.15, lambda0=0.5)
 DENSE_DAYS = 10
@@ -52,7 +53,7 @@ def make_dense():
     path = simulate_path(DENSE, horizon, int(horizon * 20), rng.spawn(0))
     arrivals = simulate_arrivals(path, rng.spawn(1))
     ms = np.sort(minutes_to_ms(arrivals))
-    log = EventLog(timestamps_ms=ms, side=("sell",) * ms.size, instrument="SIM")
+    log = EventLog(timestamps_ms=ms, side=np.full(ms.size, SELL), instrument="SIM")
     save_events(log, HERE / "events_dense.csv")
     print(f"events_dense.csv: {ms.size} events over {DENSE_DAYS} sessions")
 
@@ -66,7 +67,7 @@ def make_sparse():
         d = days[gen.integers(len(days))]
         stamps.append(d * DAY_MS + SESSION_START_MS + int(gen.integers(session_ms)))
     ms = np.sort(np.asarray(stamps[:535], dtype=np.int64))
-    log = EventLog(timestamps_ms=ms, side=("sell",) * ms.size, instrument="SIM")
+    log = EventLog(timestamps_ms=ms, side=np.full(ms.size, SELL), instrument="SIM")
     save_events(log, HERE / "events_sparse_535.csv")
     print(f"events_sparse_535.csv: {ms.size} events over {len(days)} weekdays")
 

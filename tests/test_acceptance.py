@@ -27,12 +27,12 @@ from coxaffine import (
     StateSpaceSpec,
     cir_transform_closed_form,
     distance_to_stationary,
+    kalman_filter,
     laplace_hazard,
     ljung_box_pvalue,
     mean_count,
     monte_carlo_pmf,
     pmf,
-    qml_loglik,
     replication_study,
     sample_cir_transition,
     simulate_observations,
@@ -253,9 +253,9 @@ def test_criterion_08_filter_matches_joint_gaussian():
         for T in (3, 5):
             worst = max(
                 worst,
-                abs(qml_loglik(params_d, 0.3, y_d[:T], direct)
+                abs(kalman_filter(params_d, 0.3, y_d[:T], direct).loglik
                     - joint_gaussian_loglik(params_d, 0.3, y_d[:T], direct)),
-                abs(qml_loglik(params_l, 1e-4, y_l[:T], log_spec)
+                abs(kalman_filter(params_l, 1e-4, y_l[:T], log_spec).loglik
                     - joint_gaussian_loglik(params_l, 1e-4, y_l[:T], log_spec)),
             )
         finish(

@@ -1,9 +1,11 @@
 """End-to-end command-line runs: artifacts, exit codes, byte determinism."""
 
+import csv
 import json
 import multiprocessing
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -207,12 +209,40 @@ class TestValidate:
         assert main(argv) == 0
         assert contexts == []
 
+    def test_one_replication_writes_no_std_dev(self, tmp_path):
+        model = write_model(tmp_path, DESK_MODEL)
+        out = tmp_path / "run"
+        argv = ["validate", "--model", model, "--out", str(out), "--reps", "1", "--len", "100"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        def strict(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+        assert [row["std_dev"] for row in doc["summary"]] == [None] * 4
+        rows = (out / "replication_summary.csv").read_text().splitlines()[2:]
+        assert len(rows) == 4 and all(row.endswith(",") for row in rows)
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path, contexts):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 2
         assert contexts == []  # no worker started for a log that cannot be read
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        data = tmp_path / "events.csv"
+        data.write_text(
+            "timestamp,side,instrument\n"
+            f"2024-01-03T10:00:00.000,buy,{'X' * (csv.field_size_limit() + 1)}\n"
+            "2024-01-03T10:00:01.000,sell,SIM\n"
+        )
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{data}: line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_malformed_model_json(self, tmp_path):
         p = tmp_path / "model.json"

@@ -1,9 +1,11 @@
 """Event ingestion, session aggregation, observable construction."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
+import sys
 import warnings
 from datetime import datetime, time, timedelta, timezone
 from unittest import mock
@@ -40,25 +42,46 @@ class TestEventLog:
         with pytest.raises(ValueError, match="nondecreasing"):
             EventLog(timestamps_ms=np.array([5, 3], dtype=np.int64))
         with pytest.raises(ValueError, match="entries for"):
-            EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=("buy",))
-        with pytest.raises(ValueError, match="side tags"):
-            EventLog(timestamps_ms=np.array([1], dtype=np.int64), side=("short",))
+            EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=[1])
+        with pytest.raises(ValueError, match="integer codes"):
+            EventLog(timestamps_ms=np.array([1], dtype=np.int64), side=[3])
 
-    @pytest.mark.parametrize("side", [np.array(["buy", "sell"]), ["buy", "sell"]])
+    @pytest.mark.parametrize(
+        "side",
+        [
+            np.array([3], dtype=np.int8),
+            np.array([-1], dtype=np.int8),
+            np.array([300], dtype=np.int64),
+            np.array([258], dtype=np.int64),  # as int8 it would read 2
+            ["buy"],
+            np.array(["sell"]),
+            [1.0],
+            [True],
+        ],
+    )
+    def test_side_codes_out_of_range_or_not_integer(self, side):
+        with pytest.raises(ValueError, match="integer codes"):
+            EventLog(timestamps_ms=np.array([1], dtype=np.int64), side=side)
+
+    @pytest.mark.parametrize("side", [np.array([1, 2], dtype=np.int64), [1, 2]])
     def test_side_as_array_or_list(self, side):
         log = EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=side)
-        assert log.side == ("buy", "sell")
+        assert log.side.dtype == np.int8
+        assert log.side.tolist() == [1, 2]
+        assert not isinstance(side, np.ndarray) or side.flags.writeable
 
     def test_side_defaults_to_empty_tags(self):
-        log = EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=np.array([]))
-        assert log.side == ("", "")
+        for side in ((), np.array([])):
+            log = EventLog(timestamps_ms=np.array([1, 2], dtype=np.int64), side=side)
+            assert log.side.dtype == np.int8
+            assert log.side.tolist() == [0, 0]
 
 
 class TestLoadSave:
     def test_fixture_sparse(self):
         log = load_events(SPARSE)
         assert len(log) == 535
-        assert set(log.side) == {"sell"}
+        assert log.side.tolist() == [2] * 535
         assert log.instrument == "SIM"
         assert log.n_rejected == 0
         assert np.all(np.diff(log.timestamps_ms) >= 0)
@@ -69,9 +92,30 @@ class TestLoadSave:
         save_events(log, p1)
         again = load_events(p1)
         assert np.array_equal(again.timestamps_ms, log.timestamps_ms)
-        assert again.side == log.side
+        assert again.side.tobytes() == log.side.tobytes()
         save_events(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_side_codes_read_only(self, tmp_path):
+        p = tmp_path / "events.csv"
+        p.write_text(
+            "timestamp,side,instrument\n"
+            "2024-01-03T10:00:00.000,buy,SIM\n"
+            "2024-01-03T10:00:01.000,sell,SIM\n"
+            "2024-01-03T10:00:02.000,,SIM\n"
+        )
+        log = load_events(p)
+        assert log.side.tolist() == [1, 2, 0]
+        assert log.side.dtype == np.int8
+        with pytest.raises(ValueError, match="read-only"):
+            log.side[0] = 2
+
+    @pytest.mark.parametrize("name", ["events_dense.csv", "events_sparse_535.csv"])
+    def test_save_reproduces_fixture_bytes(self, tmp_path, name):
+        path = os.path.join(FIXTURES, name)
+        save_events(load_events(path), tmp_path / name)
+        with open(path, "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read()
 
     def test_bad_rows_rejected_by_line(self, tmp_path):
         p = tmp_path / "events.csv"
@@ -107,7 +151,7 @@ class TestLoadSave:
             b"2024-01-03T10:00:01.000,sell,SIM\n"
         )
         log = load_events(p)
-        assert log.side == ("buy", "sell")
+        assert log.side.tolist() == [1, 2]
         assert log.instrument == "SIM"
         p.write_bytes(b"\xef\xbb\xbf")
         assert len(load_events(p)) == 0
@@ -122,7 +166,7 @@ class TestLoadSave:
         with pytest.warns(UserWarning, match="out of order"):
             log = load_events(p)
         assert list(np.diff(log.timestamps_ms) >= 0) == [True]
-        assert log.side == ("sell", "buy")
+        assert log.side.tolist() == [2, 1]
 
     def test_empty_and_header_only(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -184,7 +228,7 @@ def oracle_load_events(path):
                 rejected.append(line)
                 continue
             stamps.append(ms)
-            sides.append(side)
+            sides.append(("", "buy", "sell").index(side))
             if not instrument:
                 instrument = (row.get("instrument") or "").strip()
     ts = np.asarray(stamps, dtype=np.int64)
@@ -195,7 +239,7 @@ def oracle_load_events(path):
         sides = [sides[i] for i in order]
     return EventLog(
         timestamps_ms=ts,
-        side=tuple(sides),
+        side=np.asarray(sides, dtype=np.int8),
         instrument=instrument,
         n_rejected=len(rejected),
         rejected_lines=tuple(rejected),
@@ -213,7 +257,7 @@ def outcome(load, path):
     fields = (
         log.timestamps_ms.dtype,
         log.timestamps_ms.tobytes(),
-        log.side,
+        log.side.tolist(),
         log.instrument,
         log.n_rejected,
         log.rejected_lines,
@@ -353,6 +397,21 @@ class TestIngestEquivalence:
         assert log.rejected_lines == (3, 65_535, 65_539)
         assert len(log) == n - 4
         assert outcome(load_events, path) == outcome(oracle_load_events, path)
+
+
+class TestFixtureGenerator:
+    def test_regenerates_committed_fixtures(self, tmp_path, monkeypatch):
+        script = os.path.join(FIXTURES, "make_fixtures.py")
+        spec = importlib.util.spec_from_file_location("make_fixtures", script)
+        make_fixtures = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        spec.loader.exec_module(make_fixtures)
+        monkeypatch.setattr(make_fixtures, "HERE", tmp_path)
+        make_fixtures.make_dense()
+        make_fixtures.make_sparse()
+        for name in ("events_dense.csv", "events_sparse_535.csv"):
+            with open(os.path.join(FIXTURES, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 class TestAggregate:

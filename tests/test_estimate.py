@@ -30,7 +30,6 @@ from coxaffine import (
     kalman_filter,
     ljung_box,
     ljung_box_pvalue,
-    qml_loglik,
     replication_study,
     simulate_observations,
     std_errors,
@@ -82,7 +81,7 @@ class TestFilterOracle:
         params = FellerModel(kappa=0.8, theta=2.0, sigma=0.4, lambda0=2.0)
         spec = StateSpaceSpec(delta=1.0, window=1.0, mapping="direct_state")
         y = np.array([2.1, 1.85, 2.3, 2.02, 1.94])[:T]
-        ll = qml_loglik(params, 0.3, y, spec)
+        ll = kalman_filter(params, 0.3, y, spec).loglik
         assert ll == pytest.approx(joint_gaussian_loglik(params, 0.3, y, spec), abs=1e-8)
 
     @pytest.mark.parametrize("T", [3, 5])
@@ -93,7 +92,7 @@ class TestFilterOracle:
         gen = RngStream(551).generator()
         # perturbations ~ one innovation sd, far from the filter's floor at 0
         y = d + c * params.theta + 0.01 * abs(c) * gen.standard_normal(T)
-        ll = qml_loglik(params, 1e-4, y, spec)
+        ll = kalman_filter(params, 1e-4, y, spec).loglik
         assert ll == pytest.approx(joint_gaussian_loglik(params, 1e-4, y, spec), abs=1e-8)
 
 
@@ -131,15 +130,15 @@ class TestFilterBehavior:
             + out.innovations**2 / out.innovation_vars
         )
         assert out.loglik == pytest.approx(terms.sum(), abs=1e-10)
-        assert qml_loglik(params, 1e-3, y, spec) == out.loglik
+        assert kalman_filter(params, 1e-3, y, spec).loglik == out.loglik
 
     def test_observation_rescaling_shifts_loglik_by_jacobian(self):
         spec = StateSpaceSpec(delta=1.0, window=0.02)
         y = simulate_observations(DESK, 1e-3, spec, 300, RngStream(553))
         s = 10.0
         spec_s = dataclasses.replace(spec, obs_scale=s)
-        ll = qml_loglik(DESK, 1e-3, y, spec)
-        ll_s = qml_loglik(DESK, s * 1e-3, s * y, spec_s)
+        ll = kalman_filter(DESK, 1e-3, y, spec).loglik
+        ll_s = kalman_filter(DESK, s * 1e-3, s * y, spec_s).loglik
         assert ll_s == pytest.approx(ll - y.size * math.log(s), rel=1e-12)
 
     def test_residuals_calibrated_at_truth(self):
@@ -174,7 +173,7 @@ class TestFit:
         assert res.params.sigma == pytest.approx(DESK.sigma, rel=0.4)
         assert 0.05 < res.params.kappa < 0.8
         # the optimizer may not beat the truth but must never end below it
-        assert res.loglik >= qml_loglik(DESK, 1e-3, y, spec) - 1e-6
+        assert res.loglik >= kalman_filter(DESK, 1e-3, y, spec).loglik - 1e-6
         assert res.n_obs == 2000
         json.dumps(res.as_dict())
 
