@@ -63,6 +63,20 @@ def _time_to_ms(t: time) -> int:
     return ((t.hour * 60 + t.minute) * 60 + t.second) * 1000 + t.microsecond // 1000
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array of ``dtype``.
+
+    A writable array is copied, so the caller's stays writable; a read-only
+    one that already fits, as the loader and ``aggregate`` pass, is kept.
+    """
+    if isinstance(values, np.ndarray) and values.flags.writeable:
+        arr = np.array(values, dtype=dtype, order="C")
+    else:
+        arr = np.ascontiguousarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _coerce_time(value) -> time:
     if isinstance(value, time):
         return value
@@ -89,8 +103,7 @@ class EventLog:
     rejected_lines: tuple = ()
 
     def __post_init__(self):
-        ts = np.ascontiguousarray(self.timestamps_ms, dtype=np.int64)
-        ts.setflags(write=False)
+        ts = _read_only(self.timestamps_ms, np.int64)
         object.__setattr__(self, "timestamps_ms", ts)
         side = np.asarray(self.side)
         if side.size == 0:
@@ -100,9 +113,7 @@ class EventLog:
             raise ValueError(f"side must hold integer codes 0-2 indexing {_SIDES}")
         if side.ndim != 1 or side.size != ts.size:
             raise ValueError(f"side has {side.size} entries for {ts.size} timestamps")
-        side = side.astype(np.int8)  # a copy: the caller's array stays writable
-        side.setflags(write=False)
-        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "side", _read_only(side, np.int8))
         if ts.size > 1 and np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be nondecreasing")
 
@@ -147,6 +158,8 @@ def load_events(path) -> EventLog:
         order = np.argsort(ts, kind="stable")
         ts = ts[order]
         codes = codes[order]
+    ts.setflags(write=False)  # handed over as they are, not copied
+    codes.setflags(write=False)
     return EventLog(
         timestamps_ms=ts,
         side=codes,
@@ -367,8 +380,8 @@ class ObservationSeries:
     flagged: tuple = ()
 
     def __post_init__(self):
-        starts = np.ascontiguousarray(self.interval_start_ms, dtype=np.int64)
-        counts = np.ascontiguousarray(self.counts, dtype=float)
+        starts = _read_only(self.interval_start_ms, np.int64)
+        counts = _read_only(self.counts, float)
         if starts.shape != counts.shape:
             raise ValueError("interval_start_ms and counts must have equal length")
         if np.any(counts < 0):
@@ -379,13 +392,10 @@ class ObservationSeries:
             raise ValueError(f"M must be > 0, got {self.M}")
         obs = self.observable
         if obs is not None:
-            obs = np.ascontiguousarray(obs, dtype=float)
+            obs = _read_only(obs, float)
             if obs.shape != counts.shape:
                 raise ValueError("observable must have the same length as counts")
-            obs.setflags(write=False)
         for name, arr in (("interval_start_ms", starts), ("counts", counts), ("observable", obs)):
-            if arr is not None:
-                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "flagged", tuple(int(i) for i in self.flagged))
 
@@ -462,6 +472,8 @@ def aggregate(
     else:
         counts = per_day.reshape(-1)
         starts = (days[:, None] * _DAY_MS + bin_starts[None, :]).reshape(-1)
+    counts.setflags(write=False)  # handed over as they are, not copied
+    starts.setflags(write=False)
     return ObservationSeries(
         interval_start_ms=starts,
         counts=counts,
@@ -498,6 +510,7 @@ def to_observable(
     else:
         half = 1.0 / (2.0 * M)
         obs = np.log(np.maximum(1.0 - freq, half))
+    obs.setflags(write=False)  # handed over as it is, not copied
     return replace(series, observable=obs, mapping=mapping, M=int(M), flagged=flagged)
 
 

@@ -57,6 +57,8 @@ _XATOL = 1e-8  # stopping tolerances of _nelder_mead, the in-house simplex (stab
 _FATOL = 1e-10
 _REL_STEP = 1e-4  # Hessian step relative to max(1, |x|)
 _LB_ALPHA = 0.05  # Ljung-Box level
+_EXP_NORMAL = 700.0  # e^{-h} is a normal float, good to an ulp, for h below this
+_NEGLIGIBLE = 2.0**-70  # a term ratio below this no longer moves a sum >= 1
 
 
 class EstimationError(RuntimeError):
@@ -593,19 +595,73 @@ def std_errors(
     )
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail of the chi-square law with integer ``df`` at ``x``.
+
+    With h = x/2 this is Q(df/2, h), a finite sum (DLMF §8.4; Abramowitz &
+    Stegun §26.4).  Let t_0 = 1 and a0 = 0 for even df, t_0 =
+    h^{1/2}/Gamma(3/2) and a0 = 1/2 for odd df, and t_k = t_{k-1} h/(k + a0).
+    With n = df // 2, Q = erfc(sqrt h)·[df odd] + e^{-h} sum_{k<n} t_k, and
+    1 - Q = e^{-h} sum_{k>=n} t_k.  For h >= n + a0 the first sum is taken,
+    else the second, so p-values near 1 do not carry the rounding of a sum
+    near 1.  Each sum is its largest term e^{-h} t_top (t_{n-1}, resp. t_n)
+    times an ``fsum`` of ratios to it.  That term is a running product
+    times ``exp(-h)`` while e^{-h} is a normal float, and an ``fsum`` of
+    logs beyond, so nothing under- or overflows at any df.
+    """
+    if math.isnan(x):
+        return math.nan
+    if x == math.inf:
+        return 0.0
+    h = 0.5 * x
+    n, odd = divmod(df, 2)
+    a0 = 0.5 * odd
+    tail = math.erfc(math.sqrt(h)) if odd else 0.0
+    if n == 0:
+        return tail
+    first = 2.0 / math.sqrt(math.pi) * math.sqrt(h) if odd else 1.0
+    upper = h >= n + a0
+    top = n - 1 if upper else n
+    if h < _EXP_NORMAL:
+        lead = first
+        for k in range(1, top + 1):
+            lead *= h / (k + a0)
+        lead *= math.exp(-h)
+    else:
+        logs = [math.log(first), -h] + [math.log(h / (k + a0)) for k in range(1, top + 1)]
+        lead = math.exp(math.fsum(logs))
+    ratios = [1.0]
+    if upper:
+        for k in range(top, 0, -1):
+            ratios.append(ratios[-1] * ((k + a0) / h))
+        return tail + lead * math.fsum(ratios)
+    k = top
+    while ratios[-1] > _NEGLIGIBLE:
+        k += 1
+        ratios.append(ratios[-1] * (h / (k + a0)))
+    return 1.0 - lead * math.fsum(ratios)
+
+
 def ljung_box_pvalue(statistic: float, lag: int) -> float:
-    """Survival probability of the chi-square(lag) reference at the statistic."""
+    """Survival probability of the chi-square(lag) reference at the statistic.
+
+    ``lag`` is a whole number; an integral float such as 5.0 is accepted.
+    A NaN statistic gives NaN.
+    """
+    if not float(lag).is_integer():
+        raise ValueError(f"lag must be a whole number, got {lag!r}")
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
     if statistic < 0:
         raise ValueError(f"statistic must be >= 0, got {statistic}")
-    from scipy.special import chdtrc  # what scipy.stats.chi2.sf evaluates
-
-    return float(chdtrc(lag, statistic))
+    return _chi2_sf(float(statistic), int(lag))
 
 
 def ljung_box(residuals, lags: Sequence[int] = (5, 10, 15)) -> LjungBoxReport:
-    """Portmanteau test: Q(L) = T(T+2) sum_{k<=L} rho_k^2/(T-k), chi-square(L)."""
+    """Portmanteau test: Q(L) = T(T+2) sum_{k<=L} rho_k^2/(T-k), chi-square(L).
+
+    The sums of products behind each rho_k are correctly rounded (``fsum``).
+    """
     r = np.asarray(residuals, dtype=float)
     T = r.size
     lags = tuple(int(l) for l in lags)
@@ -614,11 +670,13 @@ def ljung_box(residuals, lags: Sequence[int] = (5, 10, 15)) -> LjungBoxReport:
     if T <= max(lags):
         raise ValueError(f"need more residuals ({T}) than the largest lag ({max(lags)})")
     x = r - r.mean()
-    denom = float(x @ x)
+    denom = math.fsum((x * x).tolist())
     if denom == 0.0:
         raise ValueError("constant residual series: autocorrelation undefined")
     max_lag = max(lags)
-    rho = np.array([float(x[k:] @ x[:-k]) / denom for k in range(1, max_lag + 1)])
+    rho = np.array(
+        [math.fsum((x[k:] * x[:-k]).tolist()) / denom for k in range(1, max_lag + 1)]
+    )
     terms = rho**2 / (T - np.arange(1, max_lag + 1))
     stats_q = np.array([T * (T + 2.0) * terms[:L].sum() for L in lags])
     pvals = np.array([ljung_box_pvalue(q, L) for q, L in zip(stats_q, lags)])

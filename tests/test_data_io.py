@@ -76,6 +76,50 @@ class TestEventLog:
             assert log.side.dtype == np.int8
             assert log.side.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("side_dtype", [np.int64, np.int8])
+    def test_caller_arrays_stay_writable(self, side_dtype):
+        ts = np.array([1, 2], dtype=np.int64)
+        side = np.array([1, 2], dtype=side_dtype)
+        log = EventLog(timestamps_ms=ts, side=side)
+        assert ts.flags.writeable and side.flags.writeable
+        ts[0], side[0] = 0, 0
+        assert log.timestamps_ms.tolist() == [1, 2] and log.side.tolist() == [1, 2]
+        for arr in (log.timestamps_ms, log.side):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_read_only_arrays_are_kept(self):
+        ts = np.array([1, 2], dtype=np.int64)
+        side = np.array([1, 2], dtype=np.int8)
+        ts.setflags(write=False)
+        side.setflags(write=False)
+        log = EventLog(timestamps_ms=ts, side=side)
+        assert log.timestamps_ms is ts and log.side is side
+
+
+class TestObservationSeries:
+    def test_caller_arrays_stay_writable(self):
+        starts = np.array([0, 60_000], dtype=np.int64)
+        counts = np.array([3.0, 4.0])
+        obs = np.array([0.5, 0.25])
+        series = ObservationSeries(interval_start_ms=starts, counts=counts, observable=obs)
+        assert starts.flags.writeable and counts.flags.writeable and obs.flags.writeable
+        starts[0], counts[0], obs[0] = 1, 1.0, 1.0
+        assert series.interval_start_ms.tolist() == [0, 60_000]
+        assert series.counts.tolist() == [3.0, 4.0]
+        assert series.observable.tolist() == [0.5, 0.25]
+        for arr in (series.interval_start_ms, series.counts, series.observable):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_aggregate_and_to_observable_hand_over_without_copies(self):
+        series = to_observable(aggregate(load_events(SPARSE)), M=6000)
+        again = to_observable(series, M=6000)
+        for name in ("interval_start_ms", "counts"):
+            assert getattr(again, name) is getattr(series, name)
+            assert not getattr(series, name).flags.writeable
+        assert not series.observable.flags.writeable
+
 
 class TestLoadSave:
     def test_fixture_sparse(self):

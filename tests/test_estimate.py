@@ -12,9 +12,10 @@ import math
 import multiprocessing
 import os
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from coxaffine import (
     EstimationError,
@@ -375,16 +376,47 @@ class TestLjungBox:
         assert ljung_box_pvalue(13.47, 10) == pytest.approx(0.198, abs=0.005)
         assert ljung_box_pvalue(17.0, 15) == pytest.approx(0.319, abs=0.005)
 
-    def test_pvalue_bits_match_scipy_stats(self):
-        # the p-value comes from scipy.special.chdtrc, which is what
-        # scipy.stats.chi2.sf evaluates; every bit must agree
+    def test_pvalue_matches_the_exact_tail(self):
+        # the oracle is Q(lag/2, q/2) from mpmath at 50 digits; scipy's
+        # chdtrc (what scipy.stats.chi2.sf evaluates) is held to the same grid
         grid = np.random.default_rng(48).uniform(0.0, 3.0, size=40)
-        for lag in (1, 5, 10, 15, 40):
-            qs = [0.0, 1e-300, float(lag), 1e5, *(grid * lag).tolist()]
-            for q in qs:
-                got = ljung_box_pvalue(q, lag)
-                want = float(stats.chi2.sf(q, lag))
-                assert got.hex() == want.hex(), (q, lag)
+        worst = {"ours": 0.0, "chdtrc": 0.0}
+        with mpmath.workdps(50):
+            for lag in (1, 2, 3, 5, 10, 15, 40, 101, 1000):
+                for q in (0.0, 1e-300, float(lag), 1e5, *(grid * lag).tolist()):
+                    exact = mpmath.gammainc(
+                        mpmath.mpf(lag) / 2, mpmath.mpf(q) / 2, mpmath.inf, regularized=True
+                    )
+                    got = ljung_box_pvalue(q, lag)
+                    if exact < 1e-300:
+                        assert 0.0 <= got <= 1e-300, (q, lag, got)
+                        continue
+                    err = abs(mpmath.mpf(got) - exact)
+                    rel = float(err / exact)
+                    assert rel <= 1e-12, (q, lag, rel)
+                    if exact >= 1e-6 and lag <= 101:
+                        ulps = float(err) / math.ulp(float(exact))
+                        assert ulps <= 16, (q, lag, ulps)
+                    scipy_p = mpmath.mpf(float(special.chdtrc(lag, q)))
+                    worst["ours"] = max(worst["ours"], rel)
+                    worst["chdtrc"] = max(worst["chdtrc"], float(abs(scipy_p - exact) / exact))
+        assert worst["ours"] <= worst["chdtrc"], worst
+
+    @pytest.mark.parametrize("lag", [1, 2, 5, 15, 101, 1000])
+    def test_pvalue_edges(self, lag):
+        assert ljung_box_pvalue(0.0, lag) == 1.0
+        assert ljung_box_pvalue(math.inf, lag) == 0.0
+        assert math.isnan(ljung_box_pvalue(math.nan, lag))
+        assert ljung_box_pvalue(7.5, float(lag)) == ljung_box_pvalue(7.5, lag)
+        # the tail never rises as the statistic grows, across the switch
+        # to log scaling at q = 1400 as well
+        p = [ljung_box_pvalue(q, lag) for q in np.linspace(0.0, 3.0 * lag + 1500.0, 601)]
+        assert all(b <= a for a, b in zip(p, p[1:]))
+
+    @pytest.mark.parametrize("lag", [5.5, 0.5, math.inf, math.nan])
+    def test_pvalue_needs_a_whole_lag(self, lag):
+        with pytest.raises(ValueError, match=f"whole number, got {lag!r}"):
+            ljung_box_pvalue(1.0, lag)
 
     def test_white_noise_passes(self):
         z = RngStream(701).generator().standard_normal(2000)

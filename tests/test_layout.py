@@ -6,8 +6,9 @@ benchmark tracer reads them too), and the package exports their union.
 Intra-package imports sit at module level, where the import graph is
 acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
 with data_io on its own.  scipy loads only inside the functions that use
-it, so the package imports, simulates and evaluates the count law without it,
-and fits without ``scipy.optimize``.  Importing the CLI starts no process,
+it, so the package imports, and every CLI command runs, without loading any
+scipy module; ``fit`` and ``validate`` too, since the Ljung-Box p-value is
+computed in the package.  Importing the CLI starts no process,
 and the worker pool of ``fit`` or ``validate`` does not outlive the command.
 """
 
@@ -101,7 +102,7 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_stays_off_the_start_up_path(tmp_path):
+def test_no_cli_command_loads_scipy(tmp_path):
     # the test process has imported scipy.stats, so only a fresh
     # interpreter shows what the package itself loads
     model = tmp_path / "model.json"
@@ -120,17 +121,26 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(commands)],
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        # every process, spawned workers included, reports its imports on stderr
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONPROFILEIMPORTTIME": "1"},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert imported.count("coxaffine.estimate") >= 2  # the probe and at least one worker
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == [], seen["import"]
     # importing starts no process, and no command leaves one running
     assert seen["children"] == [], seen["children"]
     assert seen["simulate"] == [], seen["simulate"]
     assert seen["pmf"] == [], seen["pmf"]
-    for name in ("fit", "validate"):
+    for name in ("fit", "validate", "validate_pool"):
         assert "scipy.stats" not in seen[name], seen[name]
         assert "scipy.optimize" not in seen[name], seen[name]
+        assert seen[name] == [], seen[name]
