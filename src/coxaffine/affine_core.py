@@ -202,7 +202,7 @@ def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) ->
     This keeps full precision uniformly in sigma -> 0 and horizon -> 0, and
     it is the single code path for float and jet arguments alike.
     """
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     mu0 = mu.value if isinstance(mu, Jet) else float(mu)
     if not math.isfinite(mu0) or mu0 < 0:
@@ -314,7 +314,7 @@ def solve_transform_ode(
     reference mu, identical in every run, and controls error on the order-0
     and pacer slots together.
     """
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,12 +26,6 @@ from .cox_dist import PrecisionError, mean_count, pmf, var_count
 from .simulate import RngStream, default_n_steps, simulate_arrivals, simulate_path
 
 __all__ = ["main", "cmd_simulate", "cmd_pmf", "cmd_fit", "cmd_validate"]
-
-_PIPELINE_TO_MEASUREMENT = {
-    "no_arrival_log": "log_prob_no_arrival",
-    "no_arrival_proxy": "prob_no_arrival",
-    "frequency": "prob_no_arrival",  # fitted on the 1 - y complement
-}
 
 
 def _config_dict(args: argparse.Namespace, model=None, pipeline=None) -> dict:
@@ -85,8 +80,6 @@ def _require_feller(model, what: str) -> FellerModel:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _require_feller(load_model(args.model), "simulate")
     horizon = args.len if args.len is not None else 10.0
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
     cfg = _config_dict(args, model=model)
     cfg["horizon"] = horizon
     rng = RngStream(args.seed)
@@ -162,16 +155,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             average_days=pipeline.average_days,
         )
         series = data_io.to_observable(series, M=pipeline.M, mapping=pipeline.mapping)
-
-        y = series.observable
-        if pipeline.mapping == "frequency":
-            y = 1.0 - y
-        delta = series.delta_minutes
-        spec = estimate.StateSpaceSpec(
-            delta=delta,
-            window=delta / series.M,
-            mapping=_PIPELINE_TO_MEASUREMENT[pipeline.mapping],
-        )
+        y, spec = estimate.observation_model(series)
         cfg = _config_dict(args, model=init, pipeline=pipeline)
         cfg["n_obs"] = int(y.size)
         cfg["spec"] = {"delta": spec.delta, "window": spec.window, "mapping": spec.mapping}
@@ -229,6 +213,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     model = _require_feller(load_model(args.model), "validate")
     n_reps = args.reps if args.reps is not None else 100
     series_len = int(args.len) if args.len is not None else 500
+    if args.len is not None and series_len != args.len:
+        raise ValueError(f"--len must be a whole number of observations, got {args.len}")
     cfg = _config_dict(args, model=model)
     cfg["n_reps"] = n_reps
     cfg["series_len"] = series_len
@@ -334,6 +320,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "len", None) is not None and not math.isfinite(args.len):
+            raise ValueError(f"--len must be finite, got {args.len}")
         os.makedirs(args.out, exist_ok=True)
         return _DISPATCH[args.command](args)
     except (ExplosionError, PrecisionError, estimate.EstimationError, ArithmeticError) as exc:

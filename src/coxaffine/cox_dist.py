@@ -96,7 +96,7 @@ class CountPmf:
 
 def prob_no_arrival(model: Model, horizon: float, x0=None) -> float:
     """P(no arrivals in the window) = L(1)."""
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     return float(laplace_hazard(model, 1.0, horizon, x0=x0))
 
@@ -109,7 +109,7 @@ def pmf(model: Model, horizon: float, k_max: int = 50, x0=None) -> CountPmf:
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     mu = Jet.variable(1.0, k_max)
     L = laplace_hazard(model, mu, horizon, x0=x0)

@@ -32,6 +32,7 @@ from .simulate import RngStream, sample_cir_transition
 
 __all__ = [
     "StateSpaceSpec",
+    "observation_model",
     "FilterOutput",
     "EstimationResult",
     "StdErrorReport",
@@ -50,6 +51,12 @@ __all__ = [
 ]
 
 _MAPPINGS = ("log_prob_no_arrival", "prob_no_arrival", "direct_state")
+# the measurement of each data_io observable; "frequency" is fitted on 1 - y
+_OBSERVABLE_MEASUREMENT = {
+    "no_arrival_log": "log_prob_no_arrival",
+    "no_arrival_proxy": "prob_no_arrival",
+    "frequency": "prob_no_arrival",
+}
 _PARAM_NAMES = ("kappa", "theta", "sigma", "R")
 _MIN_OBS = 20
 _PERTURB_SCALE = 0.7  # restart offsets in log-parameters, times a standard normal
@@ -70,25 +77,19 @@ class StateSpaceSpec:
     """Geometry of the observation scheme.
 
     ``delta`` is the spacing between observations and ``window`` the horizon
-    of the no-arrival probability behind each observation, both in internal
-    time units (minutes).  They coincide when the observable summarizes the
-    whole interval, but differ when the observable is a per-slot proxy (for
-    example a count fraction over M latency slots, where the window is
-    delta/M).  ``mapping`` selects the measurement transform:
+    of the no-arrival probability behind each observation, both in minutes;
+    ``observation_model`` sets window = delta/M for a count series with M
+    latency slots per interval.  ``mapping`` selects the measurement transform:
 
     - ``log_prob_no_arrival``: y = alpha - beta lam + noise (log scale)
     - ``prob_no_arrival``: y = exp(alpha - beta lam) + noise, linearized
       around the long-run mean
     - ``direct_state``: y = lam + noise (for diagnostics and tests)
-
-    ``obs_scale`` multiplies the model measurement, for observables recorded
-    in rescaled units.
     """
 
     delta: float = 1.0
     window: float = 1.0
     mapping: str = "log_prob_no_arrival"
-    obs_scale: float = 1.0
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -97,8 +98,6 @@ class StateSpaceSpec:
             raise ValueError(f"window must be > 0, got {self.window}")
         if self.mapping not in _MAPPINGS:
             raise ValueError(f"mapping must be one of {_MAPPINGS}, got {self.mapping!r}")
-        if not self.obs_scale != 0:
-            raise ValueError("obs_scale must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -187,13 +186,25 @@ class FitOptions:
     maxiter: int = 2000
 
 
-def _observable(obs) -> np.ndarray:
-    """The observations as a float array; raises ValueError on a missing
-    observable or on non-finite data, naming the first offending index."""
-    y = getattr(obs, "observable", obs)
-    if y is None:
+def observation_model(series) -> tuple:
+    """The filter's inputs ``(y, spec)`` for a series from ``data_io.to_observable``.
+
+    The observable is per latency slot, M to an interval, so ``window`` is
+    delta/M; a ``frequency`` series is fitted on its complement 1 - y.
+    Raises ValueError for a series without an observable.
+    """
+    measurement = _OBSERVABLE_MEASUREMENT.get(series.mapping)
+    if series.observable is None or measurement is None:
         raise ValueError("observation series has no observable values; run to_observable first")
-    y = np.ascontiguousarray(y, dtype=float)
+    y = 1.0 - series.observable if series.mapping == "frequency" else series.observable
+    delta = series.delta_minutes
+    return y, StateSpaceSpec(delta=delta, window=delta / series.M, mapping=measurement)
+
+
+def _observable(obs) -> np.ndarray:
+    """The observations as a float array; raises ValueError on non-finite
+    data, naming the first offending index."""
+    y = np.ascontiguousarray(obs, dtype=float)
     bad = ~np.isfinite(y)
     if bad.any():
         raise ValueError(f"non-finite observation at index {int(np.argmax(bad))}")
@@ -249,20 +260,16 @@ def _filter_coeffs(kappa, theta, sigma, R, spec: StateSpaceSpec) -> _Coeffs:
             d = base * (1.0 + beta * theta)
             c = -base * beta
     p0 = sigma**2 * theta / (2.0 * kappa)  # FellerModel.stationary_var
-    return _Coeffs(
-        a, b, q0, q1, spec.obs_scale * d, spec.obs_scale * c, R * R, theta, p0
-    )
+    return _Coeffs(a, b, q0, q1, d, c, R * R, theta, p0)
 
 
 def kalman_filter(
     params: FellerModel, R: float, obs, spec: StateSpaceSpec = StateSpaceSpec()
 ) -> FilterOutput:
-    """Filter an observation series and return per-step quantities.
+    """Filter the float observations ``obs`` and return per-step quantities.
 
-    ``obs`` may be an observation series object (its ``observable`` field is
-    used) or a plain float array.  Raises ValueError on non-finite data (with
-    the offending index) and ArithmeticError if an innovation variance fails
-    to be positive.
+    Raises ValueError on non-finite data (with the offending index) and
+    ArithmeticError if an innovation variance fails to be positive.
     """
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
@@ -518,7 +525,7 @@ def fit(
 
 def _heuristic_init(y: np.ndarray, spec: StateSpaceSpec) -> FellerModel:
     """Rough starting point from the sample mean of the observable."""
-    ybar = float(np.mean(y)) / spec.obs_scale
+    ybar = float(np.mean(y))
     if spec.mapping == "direct_state":
         theta0 = max(ybar, 1e-8)
     elif spec.mapping == "log_prob_no_arrival":
@@ -787,10 +794,12 @@ def replication_study(
     starts from the true model with ``R_init = R``.  The replications run on
     ``worker_map(min(jobs, n_reps))``, which returns them in replication order,
     so the summary is bit-identical for any ``jobs``.  Individual replication
-    failures are recorded and excluded.
+    failures are recorded and excluded; a ``series_len`` below 20 raises first.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if series_len < _MIN_OBS:
+        raise ValueError(f"series_len must be >= {_MIN_OBS} (the fit's minimum), got {series_len}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     with worker_map(min(jobs, n_reps)) as rep_map:

@@ -15,9 +15,9 @@ total-variation distance of window counts to their stationary law and its
 exponential decay slope.
 
 Randomness is organized around :class:`RngStream`: a (seed, stream_id) pair
-plus an internal spawn key.  Work is split into fixed-size blocks, each with
-its own child stream, and reductions run in block order, so results are
-bit-identical no matter how the blocks are scheduled across workers.
+plus an internal spawn key.  Monte Carlo work is split into fixed-size
+blocks, each with its own child stream, which run one after another in
+index order in the calling process and are reduced in that order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "euler_affine_path",
 ]
 
-# paths per vectorized block; fixed so aggregates are schedule-independent
+# paths per vectorized block; results depend on it, as each block has its own stream
 BLOCK_SIZE = 16384
 _STEPS_PER_WINDOW = 64  # trapezoid steps of a simulated hazard over one window
 
@@ -91,7 +91,7 @@ class PathSample:
 
     ``arrivals`` is None until generated.  For multivariate models,
     ``states`` holds the factor paths and ``intensity`` the resulting scalar
-    intensity.
+    intensity.  Every array but ``states`` is read-only; a writable one is copied.
     """
 
     grid: np.ndarray
@@ -101,31 +101,30 @@ class PathSample:
     states: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        lam = np.asarray(self.intensity, dtype=float)
-        ch = np.asarray(self.cum_hazard, dtype=float)
-        if not (grid.shape == lam.shape == ch.shape):
+        for name in ("grid", "intensity", "cum_hazard", "arrivals"):
+            values = getattr(self, name)
+            if values is not None:
+                copy = isinstance(values, np.ndarray) and values.flags.writeable
+                arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+        grid, ch, arr = self.grid, self.cum_hazard, self.arrivals
+        if not (grid.shape == self.intensity.shape == ch.shape):
             raise ValueError("grid, intensity and cum_hazard must have equal shapes")
         if grid.size and ch[0] != 0.0:
             raise ValueError("cum_hazard must start at 0")
         if np.any(np.diff(ch) < 0):
             raise ValueError("cum_hazard must be nondecreasing")
-        for name, arr in (("grid", grid), ("intensity", lam), ("cum_hazard", ch)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.arrivals is not None:
-            arr = np.asarray(self.arrivals, dtype=float)
-            if arr.size and grid.size and (arr.min() < grid[0] or arr.max() > grid[-1]):
+        if arr is not None and arr.size and grid.size:
+            if arr.min() < grid[0] or arr.max() > grid[-1]:
                 raise ValueError("arrivals must lie within the path grid")
-            arr.setflags(write=False)
-            object.__setattr__(self, "arrivals", arr)
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1]) if self.grid.size else 0.0
 
     def with_arrivals(self, arrivals: np.ndarray) -> "PathSample":
-        return replace(self, arrivals=np.asarray(arrivals, dtype=float))
+        return replace(self, arrivals=arrivals)
 
 
 def _transition_constants(model: FellerModel, dt: float):
@@ -215,7 +214,7 @@ def simulate_path(
     grid; only the hazard integral carries the O((horizon/n_steps)^2)
     trapezoid bias.
     """
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if horizon == 0:
         return PathSample(
@@ -233,6 +232,8 @@ def simulate_path(
     for i in range(n_steps):
         lam[i + 1] = sample_cir_transition(model, lam[i], h, gen)
     ch = np.concatenate([[0.0], np.cumsum(0.5 * h * (lam[1:] + lam[:-1]))])
+    for arr in (grid, lam, ch):  # handed over as they are, not copied
+        arr.setflags(write=False)
     return PathSample(grid=grid, intensity=lam, cum_hazard=ch)
 
 
@@ -300,8 +301,8 @@ def _averaged_conditional_pmf(
     Block ``i`` of ``BLOCK_SIZE`` paths draws from ``rng.spawn(i)``:
     ``launch(gen, nb)`` returns its ``nb`` starting intensities, then
     ``_window_hazard`` advances them across the window on the same
-    generator.  Block sums are reduced in index order, so the result is
-    bit-identical for any scheduling of the blocks.
+    generator.  The blocks run one after another in index order, in this
+    process, and their sums are reduced in that order.
     """
     sums = np.zeros(k_max + 1)
     sumsq = np.zeros(k_max + 1)
@@ -348,14 +349,14 @@ def monte_carlo_pmf(
     variability.  They leave out the bias of the trapezoid hazard on the
     ``n_steps`` grid (``default_n_steps`` by default), which can exceed
     them in the far tail of the count law.  Blocks of ``BLOCK_SIZE`` paths
-    each use their own child stream and are reduced in index order: the
-    result is bit-identical for any scheduling of the blocks.
+    each use their own child stream and run one after another in index
+    order, in this process.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not isinstance(rng, RngStream):
         raise TypeError("monte_carlo_pmf requires an RngStream for reproducibility")
@@ -504,7 +505,7 @@ def euler_affine_path(
     volatilities are truncated at zero.  Intended for models without an
     exact transition.
     """
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -526,4 +527,6 @@ def euler_affine_path(
         lam[i + 1] = model.intensity(x)
     lam_pos = np.clip(lam, 0.0, None)
     ch = np.concatenate([[0.0], np.cumsum(0.5 * h * (lam_pos[1:] + lam_pos[:-1]))])
+    for arr in (grid, lam_pos, ch):  # handed over as they are, not copied
+        arr.setflags(write=False)
     return PathSample(grid=grid, intensity=lam_pos, cum_hazard=ch, states=states)

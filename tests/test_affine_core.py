@@ -106,8 +106,12 @@ class TestClosedForm:
             assert abs(tc.alpha) <= h
 
     def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            cir_transform_closed_form(FellerModel(1, 1, 0.5, 1), 1.0, -1.0)
+        m = FellerModel(1, 1, 0.5, 1)
+        for horizon in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                cir_transform_closed_form(m, 1.0, horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                solve_transform_ode(m, 1.0, horizon)
 
 
 class TestRiccatiIntegrator:

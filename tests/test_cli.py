@@ -161,14 +161,27 @@ class TestFit:
         assert multiprocessing.active_children() == []
 
     def test_frequency_pipeline(self, tmp_path):
-        cfg = tmp_path / "pipeline.json"
-        cfg.write_text(json.dumps({"mapping": "frequency"}))
-        out = tmp_path / "run"
-        code = main(["fit", "--data", DENSE, "--config", str(cfg), "--out", str(out)])
-        assert code == 0
-        doc = json.loads((out / "estimate.json").read_text())
+        # a frequency series is fitted on its complement, which is the proxy
+        # observable: the two fits differ in their config alone
+        runs = {}
+        for mapping in ("frequency", "no_arrival_proxy"):
+            cfg = tmp_path / f"{mapping}.json"
+            cfg.write_text(json.dumps({"mapping": mapping}))
+            out = tmp_path / mapping
+            code = main(["fit", "--data", DENSE, "--config", str(cfg), "--out", str(out)])
+            assert code == 0
+            runs[mapping] = {p.name: p.read_text() for p in sorted(out.iterdir())}
+        freq, proxy = runs["frequency"], runs["no_arrival_proxy"]
+        doc = json.loads(freq["estimate.json"])
         assert doc["config"]["pipeline"]["mapping"] == "frequency"
         assert doc["estimates"]["theta"] == pytest.approx(0.5, rel=0.3)
+        proxy_doc = json.loads(proxy["estimate.json"])
+        assert doc.pop("config")["spec"] == proxy_doc.pop("config")["spec"]
+        assert doc == proxy_doc
+        assert sorted(freq) == sorted(proxy)
+        for name in freq:
+            if name.endswith(".csv"):  # equal bodies below the config line
+                assert freq[name].split("\n", 1)[1] == proxy[name].split("\n", 1)[1], name
 
 
 class TestValidate:
@@ -298,11 +311,41 @@ class TestExitCodes:
             assert main(["validate", "--model", model, "--out", str(tmp_path / "o"),
                          "--reps", "2", "--len", "30", "--jobs", jobs]) == 2
 
-    def test_numeric_failure(self, tmp_path):
-        # series too short for any replication to fit: estimation error
+    def test_numeric_failure(self, tmp_path, monkeypatch):
+        # every replication's fit fails: estimation error
+        def failing_fit(*args, **kwargs):
+            raise ArithmeticError("fit fails")
+
+        monkeypatch.setattr(estimate, "fit", failing_fit)
         model = write_model(tmp_path, DESK_MODEL)
         code = main(
             ["validate", "--model", model, "--out", str(tmp_path / "o"),
-             "--reps", "2", "--len", "10"]
+             "--reps", "2", "--len", "30"]
         )
         assert code == 1
+
+    def test_len_must_be_finite(self, tmp_path, capsys):
+        model = write_model(tmp_path, UNIT_MODEL)
+        for command in ("simulate", "pmf", "validate"):
+            for value in ("nan", "inf", "-inf"):
+                out = tmp_path / f"{command}{value}"
+                argv = [command, "--model", model, "--out", str(out), f"--len={value}"]
+                assert main(argv) == 2, (command, value)
+                assert "--len must be finite" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_validate_len_must_be_whole(self, tmp_path, capsys, contexts):
+        model = write_model(tmp_path, DESK_MODEL)
+        argv = ["validate", "--model", model, "--out", str(tmp_path / "o"),
+                "--reps", "2", "--len", "25.9", "--jobs", "2"]
+        assert main(argv) == 2
+        assert "--len must be a whole number" in capsys.readouterr().err
+        assert contexts == []
+
+    def test_validate_len_below_fit_minimum(self, tmp_path, capsys, contexts):
+        model = write_model(tmp_path, DESK_MODEL)
+        argv = ["validate", "--model", model, "--out", str(tmp_path / "o"),
+                "--reps", "3", "--len", "10", "--jobs", "2"]
+        assert main(argv) == 2
+        assert "series_len must be >= 20" in capsys.readouterr().err
+        assert contexts == []  # no worker started

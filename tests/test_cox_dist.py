@@ -85,8 +85,9 @@ class TestPmf:
         assert riccati.probs[0] == pytest.approx(closed.probs[0], rel=0, abs=1e-11)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            pmf(BASE, -1.0)
+        for horizon in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                pmf(BASE, horizon)
         with pytest.raises(ValueError):
             pmf(BASE, 1.0, k_max=-1)
 
@@ -190,8 +191,9 @@ class TestNoArrival:
         assert prob_no_arrival(BASE, 0.0) == 1.0
 
     def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            prob_no_arrival(BASE, -0.5)
+        for horizon in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                prob_no_arrival(BASE, horizon)
 
     def test_equals_pmf_at_zero(self):
         p = pmf(BASE, 2.0, k_max=0)

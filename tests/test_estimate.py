@@ -35,7 +35,7 @@ from coxaffine import (
     simulate_observations,
     std_errors,
 )
-from coxaffine import estimate
+from coxaffine import data_io, estimate
 from coxaffine.estimate import _FATOL, _PENALTY, _XATOL, _filter_coeffs, _nelder_mead, _objective
 
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
@@ -132,15 +132,6 @@ class TestFilterBehavior:
         )
         assert out.loglik == pytest.approx(terms.sum(), abs=1e-10)
         assert kalman_filter(params, 1e-3, y, spec).loglik == out.loglik
-
-    def test_observation_rescaling_shifts_loglik_by_jacobian(self):
-        spec = StateSpaceSpec(delta=1.0, window=0.02)
-        y = simulate_observations(DESK, 1e-3, spec, 300, RngStream(553))
-        s = 10.0
-        spec_s = dataclasses.replace(spec, obs_scale=s)
-        ll = kalman_filter(DESK, 1e-3, y, spec).loglik
-        ll_s = kalman_filter(DESK, s * 1e-3, s * y, spec_s).loglik
-        assert ll_s == pytest.approx(ll - y.size * math.log(s), rel=1e-12)
 
     def test_residuals_calibrated_at_truth(self):
         spec = StateSpaceSpec(delta=1.0, window=0.02)
@@ -239,8 +230,6 @@ class TestFit:
             StateSpaceSpec(window=-1.0)
         with pytest.raises(ValueError):
             StateSpaceSpec(mapping="identity")
-        with pytest.raises(ValueError):
-            StateSpaceSpec(obs_scale=0.0)
 
     def test_pool_map_gives_the_same_bits(self):
         y, spec = self.make_series(100)
@@ -458,6 +447,45 @@ class TestLjungBox:
             ljung_box_pvalue(1.0, 0)
 
 
+class TestObservationModel:
+    @staticmethod
+    def series(mapping):
+        counts = np.array([0.0, 3.0, 7.0, 12.0, 1.0])  # one interval above M
+        raw = data_io.ObservationSeries(
+            interval_start_ms=30_000 * np.arange(5), counts=counts, interval_seconds=30.0
+        )
+        return data_io.to_observable(raw, M=10, mapping=mapping)
+
+    @pytest.mark.parametrize(
+        "mapping, measurement",
+        [
+            ("no_arrival_log", "log_prob_no_arrival"),
+            ("no_arrival_proxy", "prob_no_arrival"),
+            ("frequency", "prob_no_arrival"),
+        ],
+    )
+    def test_each_pipeline_mapping(self, mapping, measurement):
+        series = self.series(mapping)
+        y, spec = estimate.observation_model(series)
+        # a frequency series is fitted on its complement
+        expected = 1.0 - series.observable if mapping == "frequency" else series.observable
+        assert y.tobytes() == expected.tobytes()
+        assert spec == StateSpaceSpec(delta=0.5, window=0.05, mapping=measurement)
+
+    def test_covers_every_data_io_observable(self):
+        assert sorted(estimate._OBSERVABLE_MEASUREMENT) == sorted(data_io._OBS_MAPPINGS)
+        assert set(estimate._OBSERVABLE_MEASUREMENT.values()) <= set(estimate._MAPPINGS)
+
+    def test_series_without_observable_rejected(self):
+        raw = self.series("frequency")
+        for series in (
+            dataclasses.replace(raw, observable=None, mapping=None),
+            dataclasses.replace(raw, mapping=None),
+        ):
+            with pytest.raises(ValueError, match="to_observable"):
+                estimate.observation_model(series)
+
+
 class TestSimulateObservations:
     SPEC = StateSpaceSpec(delta=1.0, window=0.05)
 
@@ -542,10 +570,22 @@ class TestReplication:
         assert summary.n_failed == 1 and summary.n_requested == 3
         assert summary.estimates.tobytes() == full.estimates[[0, 2]].tobytes()
 
-    def test_all_failures_raise(self):
-        # series shorter than the fit's minimum: every replication fails
+    def test_all_failures_raise(self, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise ArithmeticError("fit fails")
+
+        monkeypatch.setattr(estimate, "fit", failing_fit)
         with pytest.raises(EstimationError, match="every replication failed"):
-            replication_study(DESK, 2, 10, RngStream(904), spec=self.SPEC)
+            replication_study(DESK, 2, 100, RngStream(904), spec=self.SPEC)
+
+    def test_short_series_rejected_before_any_worker(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a worker map was opened")
+
+        monkeypatch.setattr(estimate, "worker_map", no_pool)
+        for series_len in (19, 10, 0):
+            with pytest.raises(ValueError, match="series_len must be >= 20"):
+                replication_study(DESK, 3, series_len, RngStream(904), jobs=2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

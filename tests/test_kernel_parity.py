@@ -140,7 +140,7 @@ DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
 SPECS = [
     StateSpaceSpec(delta=1.0, window=0.05),
     StateSpaceSpec(delta=10.0, window=10.0 / 60000.0),
-    StateSpaceSpec(delta=2.0, window=0.5, mapping="prob_no_arrival", obs_scale=3.0),
+    StateSpaceSpec(delta=2.0, window=0.5, mapping="prob_no_arrival"),
     StateSpaceSpec(mapping="direct_state"),
 ]
 

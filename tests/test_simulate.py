@@ -152,8 +152,9 @@ class TestPathSimulation:
         assert not np.array_equal(a.intensity, c.intensity)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_path(BASE, -1.0)
+        for horizon in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                simulate_path(BASE, horizon)
         with pytest.raises(ValueError):
             simulate_path(BASE, 1.0, n_steps=0)
 
@@ -178,6 +179,33 @@ class TestPathContainer:
         p = simulate_path(BASE, 1.0, rng=RngStream(4))
         q = p.with_arrivals(np.array([0.25, 0.75]))
         assert q.arrivals.size == 2 and p.arrivals is None
+
+    def test_caller_arrays_stay_writable(self):
+        fields = {
+            "grid": np.array([0.0, 1.0]),
+            "intensity": np.ones(2),
+            "cum_hazard": np.array([0.0, 1.0]),
+            "arrivals": np.array([0.5]),
+        }
+        p = PathSample(**fields)
+        for name, given in fields.items():
+            assert given.flags.writeable, name
+            held = getattr(p, name)
+            assert not held.flags.writeable and held.tobytes() == given.tobytes(), name
+            given[0] = 7.0
+            assert held[0] != 7.0, name
+        assert PathSample(grid=[0.0, 1.0], intensity=[1, 1], cum_hazard=(0, 1)).grid.dtype == float
+
+    def test_read_only_arrays_are_kept(self):
+        # the simulators hand over read-only arrays, which are not copied
+        for path in (
+            simulate_path(BASE, 1.0, rng=RngStream(4)),
+            euler_affine_path(BASE.as_affine(), 1.0, 1.0, 10, RngStream(4)),
+        ):
+            for name in ("grid", "intensity", "cum_hazard"):
+                arr = getattr(path, name)
+                assert not arr.flags.writeable, name
+                assert getattr(PathSample(path.grid, path.intensity, path.cum_hazard), name) is arr
 
 
 class TestArrivals:
@@ -228,6 +256,11 @@ class TestMonteCarloPmf:
         mc = monte_carlo_pmf(BASE, 0.0, 1000, 3, RngStream(6))
         assert mc.pmf.probs[0] == 1.0
         assert np.all(mc.std_errors == 0.0)
+
+    def test_validation(self):
+        for horizon in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                monte_carlo_pmf(BASE, horizon, 1000, 3, RngStream(6))
 
     def test_reproducible_and_block_boundary(self):
         # n_paths straddling a block boundary exercises the per-block
