@@ -165,32 +165,26 @@ class AffineModel:
 class TransformCoeffs:
     """Coefficients of L(mu) = exp(alpha - beta . x) over a horizon.
 
-    ``alpha`` is a float or Jet; ``beta`` is a float/Jet for one-factor
-    models, or a sequence of them (length d) for multivariate models.
-    Both vanish at horizon 0 so that L = 1.
+    A float mu gives floats and a Jet mu gives Jets, by the same arithmetic:
+    the order-0 coefficient of a jet run is the float run, bit for bit, in
+    every dimension.  ``beta`` is one such value for a one-factor model and a
+    tuple of d values for a d-factor model.  Both vanish at horizon 0, so
+    L = 1.
     """
 
     alpha: Scalar
     beta: object
-    mu: Scalar
-    horizon: float
 
     def laplace(self, x0) -> Scalar:
-        """L(mu) at initial state x0 (scalar for one-factor models)."""
-        if isinstance(self.beta, (list, tuple)) or (
-            isinstance(self.beta, np.ndarray) and self.beta.dtype == object
-        ):
-            x = np.atleast_1d(np.asarray(x0, dtype=float))
-            acc = self.alpha
-            for bj, xj in zip(self.beta, x):
-                acc = acc - bj * float(xj)
-            return jets.exp(acc)
-        if isinstance(self.beta, np.ndarray) and self.beta.ndim == 1:
-            return jets.exp(self.alpha - float(self.beta @ np.atleast_1d(x0)))
+        """L(mu) at initial state x0 (a number or a length-1 sequence for one factor)."""
+        betas = self.beta if isinstance(self.beta, tuple) else (self.beta,)
         x = np.asarray(x0, dtype=float).reshape(-1)
-        if x.size != 1:
-            raise ValueError(f"scalar-factor transform got state of length {x.size}")
-        return jets.exp(self.alpha - self.beta * float(x[0]))
+        if x.size != len(betas):
+            raise ValueError(f"transform of {len(betas)} factor(s) got state of length {x.size}")
+        acc = self.alpha
+        for bj, xj in zip(betas, x):
+            acc = acc - bj * float(xj)
+        return jets.exp(acc)
 
 
 def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) -> TransformCoeffs:
@@ -199,8 +193,13 @@ def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) ->
     Evaluated in a cancellation-free arrangement: with
     gamma = sqrt(kappa^2 + 2 sigma^2 mu) and g = gamma - kappa computed as
     2 sigma^2 mu / (gamma + kappa), all differences go through expm1/log1p.
-    This keeps full precision uniformly in sigma -> 0 and horizon -> 0, and
-    it is the single code path for float and jet arguments alike.
+    This keeps full precision in sigma -> 0 and horizon -> 0, and it is the
+    single code path for float and jet arguments alike.  The log1p argument
+    tends to -1 as the horizon grows (1 + resid/denom = 2 gamma e^{-g h/2} /
+    denom), so once e^{-g h/2} falls below 2^-26 alpha is taken as
+    log(2 gamma/denom) - g h/2 instead, which holds at every horizon and
+    has no cancellation there.  Just before that switch the log1p form
+    carries about 1e-10 relative error in alpha.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -215,11 +214,15 @@ def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) ->
     emg = jets.exp(-gamma * horizon)
     denom = (gamma + kappa) + g * emg
     beta = (-2.0 * mu) * jets.expm1(-gamma * horizon) / denom
-    # numerator - denominator, arranged so every term is O(g) or O(kappa*dt)
     eh = jets.exp(-0.5 * g * horizon)
-    resid = (2.0 * kappa) * jets.expm1(-0.5 * g * horizon) + g * (2.0 * eh - 1.0 - emg)
-    alpha = (2.0 * kappa * theta / (sigma * sigma)) * jets.log1p(resid / denom)
-    return TransformCoeffs(alpha=alpha, beta=beta, mu=mu, horizon=float(horizon))
+    if (eh.value if isinstance(eh, Jet) else eh) < 2.0**-26:
+        log_ratio = jets.log((2.0 * gamma) / denom) - 0.5 * g * horizon
+    else:
+        # numerator - denominator, arranged so every term is O(g) or O(kappa*dt)
+        resid = (2.0 * kappa) * jets.expm1(-0.5 * g * horizon) + g * (2.0 * eh - 1.0 - emg)
+        log_ratio = jets.log1p(resid / denom)
+    alpha = (2.0 * kappa * theta / (sigma * sigma)) * log_ratio
+    return TransformCoeffs(alpha=alpha, beta=beta)
 
 
 # Dormand-Prince RK45 tableau (same pair as the classical adaptive 4(5) solver)
@@ -241,24 +244,32 @@ _DP_B4 = np.array(
 _EXPLOSION_LIMIT = 1e8
 
 
-def _integrate_riccati(rhs, y0: np.ndarray, horizon: float, tol: float, err_slots):
-    """Adaptive embedded RK4(5) with error control restricted to ``err_slots``.
+def _combine(weights, terms):
+    """sum_j weights[j] * terms[j], accumulated elementwise in index order.
 
-    Restricting the error norm to the order-0 slots makes the accepted step
-    sequence independent of the jet order carried alongside, so jet runs
-    reproduce the scalar run's order-0 arithmetic exactly.  Jet coefficients
-    of the smooth Riccati flow ride the same steps; their accuracy is
-    checked against the closed form in the test suite.
+    A weight is a number or, for the matrix product M^T X, the column
+    M[j][:, None].  Unlike a BLAS product, each output element is rounded
+    the same way however many columns ride along, so a jet run's order-0
+    column repeats the float run's arithmetic exactly.
     """
-    def combine(weights, ks):
-        # explicit elementwise accumulation in fixed order; BLAS reductions
-        # would round differently depending on the jet order carried along
-        acc = weights[0] * ks[0]
-        for w, kj in zip(weights[1:], ks[1:]):
-            if w != 0.0:
-                acc = acc + w * kj
-        return acc
+    acc = weights[0] * terms[0]
+    for w, t in zip(weights[1:], terms[1:]):
+        acc = acc + w * t
+    return acc
 
+
+def _integrate_riccati(rhs, y0: np.ndarray, horizon: float, tol: float):
+    """Adaptive embedded RK4(5) with error control on the first and last columns.
+
+    The first column is the order-0 solution and the last the pacer (see
+    ``solve_transform_ode``), so the accepted step sequence does not depend
+    on the jet order carried alongside.  With ``_combine`` summing the stages
+    and the right-hand side, every column's arithmetic is the same in any
+    run, so a jet run's order-0 column equals the float run bit for bit.  Jet
+    coefficients of the smooth Riccati flow ride the same steps unchecked;
+    the test suite compares them with the closed form at short horizons,
+    and their error grows with the horizon.
+    """
     t = 0.0
     y = y0.copy()
     h = min(horizon, 0.1)
@@ -267,13 +278,13 @@ def _integrate_riccati(rhs, y0: np.ndarray, horizon: float, tol: float, err_slot
         h = min(h, horizon - t)
         k[0] = rhs(y)
         for i in range(1, 7):
-            yi = y + h * combine(_DP_A[i], k[:i])
+            yi = y + h * _combine(_DP_A[i], k[:i])
             k[i] = rhs(yi)
-        y5 = y + h * combine(_DP_B5, k)
-        y4 = y + h * combine(_DP_B4, k)
-        e5 = y5[err_slots]
-        scale = tol * (1.0 + np.abs(y[err_slots]))
-        err = np.max(np.abs((y5 - y4)[err_slots]) / scale)
+        y5 = y + h * _combine(_DP_B5, k)
+        y4 = y + h * _combine(_DP_B4, k)
+        e5 = y5[:, [0, -1]]
+        scale = tol * (1.0 + np.abs(y[:, [0, -1]]))
+        err = np.max(np.abs(e5 - y4[:, [0, -1]]) / scale)
         if not np.isfinite(err):
             raise ExplosionError(t, horizon)
         if err <= 1.0:
@@ -302,17 +313,19 @@ def solve_transform_ode(
         alpha' = -mu rho0 - (kappa theta) . beta + 1/2 sum_i (Sigma^T beta)_i^2 a_i
 
     which makes L = exp(alpha - beta . x) the Laplace transform of the
-    integrated intensity.  ``mu`` may be a Jet; its Taylor coefficients are
-    carried through the integration, and alpha and beta are Jets of the same
-    order (order 0 included).
+    integrated intensity.  A float mu is carried as an order-0 jet: each
+    unknown is a row of Taylor coefficients, and every matrix product of
+    the right-hand side is summed by ``_combine``, so a jet run's order-0
+    coefficients equal the float run bit for bit in every dimension.  The
+    rows come back as floats for a float mu and as Jets of mu's order for a
+    Jet mu.
 
-    Step-size control must not depend on the jet order (the order-0 result
-    has to match the scalar run bitwise), yet the order-0 solution alone can
-    be degenerate (it vanishes identically when the expansion point is
-    mu = 0, starving the controller of any error signal).  The integrator
-    therefore carries a pacer column, the same scalar system at a fixed
-    reference mu, identical in every run, and controls error on the order-0
-    and pacer slots together.
+    Step-size control must not depend on the jet order, yet the order-0
+    solution alone can be degenerate (it vanishes identically when the
+    expansion point is mu = 0, starving the controller of any error signal).
+    The integrator therefore carries a pacer column, the same scalar system
+    at a fixed reference mu, identical in every run, and controls error on
+    the order-0 and pacer columns together.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -322,20 +335,15 @@ def solve_transform_ode(
         model = model.as_affine()
     d = model.dim
 
-    if isinstance(mu, Jet):
-        order = mu.order
-        mu_row = mu.coeffs.copy()
-    else:
-        order = 0
-        mu_row = np.array([float(mu)])
+    jet = isinstance(mu, Jet)
+    mu_row = mu.coeffs if jet else np.array([float(mu)])
     if not math.isfinite(mu_row[0]):
         raise ValueError("mu must be finite")
 
-    K1 = order + 1
-    kT = model.kappa.T
-    ktheta = model.kappa @ model.theta
-    sT = model.sigma_mat.T
-    bT = model.b.T
+    K1 = mu_row.size
+    # column weights: _combine(M[:, :, None], X) is the matrix product M^T X
+    kT, sT, bT = (m[:, :, None] for m in (model.kappa, model.sigma_mat, model.b))
+    ktheta = _combine(model.theta, model.kappa.T)  # kappa theta
     a = model.a
     rho1 = model.rho1
     rho0 = model.rho0
@@ -347,33 +355,25 @@ def solve_transform_ode(
         # y rows 0..d-1 are jet coefficients of beta_i, row d is alpha;
         # the final column is the pacer (scalar system at mu_ref)
         B = y[:d]
-        sb = sT @ B
+        sb = _combine(sT, B)
         # jet square of each row: full convolution truncated to order K;
         # the pacer column squares on its own
         q = np.empty_like(sb)
         for i in range(d):
             q[i, :K1] = np.convolve(sb[i, :K1], sb[i, :K1])[:K1]
             q[i, K1] = sb[i, K1] * sb[i, K1]
-        dB = np.outer(rho1, mu_ext) - kT @ B - 0.5 * (bT @ q)
-        dalpha = -rho0 * mu_ext - ktheta @ B + 0.5 * (a @ q)
+        dB = np.outer(rho1, mu_ext) - _combine(kT, B) - 0.5 * _combine(bT, q)
+        dalpha = -rho0 * mu_ext - _combine(ktheta, B) + 0.5 * _combine(a, q)
         return np.vstack([dB, dalpha[None, :]])
 
-    y0 = np.zeros((d + 1, K1 + 1))
-    if horizon == 0:
-        yT = y0
-    else:
-        err_slots = (slice(None), [0, K1])
-        yT = _integrate_riccati(rhs, y0, float(horizon), tol, err_slots)
+    yT = np.zeros((d + 1, K1 + 1))
+    if horizon > 0:
+        yT = _integrate_riccati(rhs, yT, float(horizon), tol)
 
-    yT = yT[:, :K1]  # drop the pacer column
-    if not isinstance(mu, Jet):
-        beta = yT[:d, 0] if d > 1 else float(yT[0, 0])
-        alpha = float(yT[d, 0])
-    else:
-        beta_jets = [Jet(yT[i]) for i in range(d)]
-        beta = beta_jets[0] if d == 1 else np.array(beta_jets, dtype=object)
-        alpha = Jet(yT[d])
-    return TransformCoeffs(alpha=alpha, beta=beta, mu=mu, horizon=float(horizon))
+    value = Jet if jet else (lambda row: float(row[0]))
+    rows = [value(row[:K1]) for row in yT]  # the pacer column is dropped
+    beta = rows[0] if d == 1 else tuple(rows[:d])
+    return TransformCoeffs(alpha=rows[d], beta=beta)
 
 
 def laplace_hazard(
@@ -390,11 +390,11 @@ def laplace_hazard(
     """
     if isinstance(model, FellerModel):
         tc = cir_transform_closed_form(model, mu, horizon)
-        x0 = model.lambda0 if x0 is None else float(x0)
-        return tc.laplace(x0)
-    tc = solve_transform_ode(model, mu, horizon)
-    x0 = model.theta if x0 is None else np.asarray(x0, dtype=float)
-    return tc.laplace(x0)
+        start = model.lambda0
+    else:
+        tc = solve_transform_ode(model, mu, horizon)
+        start = model.theta
+    return tc.laplace(start if x0 is None else x0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def pmf(model: Model, horizon: float, k_max: int = 50, x0=None) -> CountPmf:
 
 def hazard_moments(model: Model, t: float, x0=None) -> tuple:
     """(E[Lambda], Var(Lambda)) from the order-2 jet of L at mu = 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     mu = Jet.variable(0.0, 2)
     L = laplace_hazard(model, mu, t, x0=x0)
@@ -133,7 +133,7 @@ def hazard_moments(model: Model, t: float, x0=None) -> tuple:
 
 def mean_count(model: FellerModel, t: float) -> float:
     """E[N_t] = theta t + (1 - e^{-kappa t})/kappa (lambda0 - theta)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     k = model.kappa
     return model.theta * t + (-math.expm1(-k * t) / k) * (model.lambda0 - model.theta)

@@ -28,7 +28,7 @@ import numpy as np
 from ._backend import filter_kernel
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
-from .simulate import RngStream, sample_cir_transition
+from .simulate import RngStream, _cir_chain
 
 __all__ = [
     "StateSpaceSpec",
@@ -716,10 +716,7 @@ def simulate_observations(
     else:
         raise ValueError(f"start must be 'stationary' or 'fixed', got {start!r}")
     coeffs = _filter_coeffs(model.kappa, model.theta, model.sigma, R, spec)
-    lams = np.empty(n_obs)
-    lams[0] = lam
-    for t in range(1, n_obs):
-        lams[t] = sample_cir_transition(model, lams[t - 1], spec.delta, gen)
+    lams = _cir_chain(model, lam, spec.delta, n_obs, gen)
     noise = gen.standard_normal(n_obs)
     return coeffs.d + coeffs.c * lams + R * noise
 

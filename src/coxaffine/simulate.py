@@ -188,6 +188,16 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
     return out
 
 
+def _cir_chain(model: FellerModel, start: float, dt: float, n: int, gen) -> np.ndarray:
+    """``n`` values of one square-root path at spacing ``dt`` from ``start``,
+    advanced by exact scalar transitions drawn from ``gen`` in order."""
+    lam = np.empty(n)
+    lam[0] = start
+    for i in range(1, n):
+        lam[i] = sample_cir_transition(model, lam[i - 1], dt, gen)
+    return lam
+
+
 def default_n_steps(model: FellerModel, horizon: float) -> int:
     """Grid resolution for simulated hazards: dt <= min(0.01, 1/(10 kappa)).
 
@@ -227,10 +237,7 @@ def simulate_path(
     gen = _as_generator(rng if rng is not None else RngStream(0))
     h = horizon / n_steps
     grid = np.linspace(0.0, horizon, n_steps + 1)
-    lam = np.empty(n_steps + 1)
-    lam[0] = model.lambda0
-    for i in range(n_steps):
-        lam[i + 1] = sample_cir_transition(model, lam[i], h, gen)
+    lam = _cir_chain(model, model.lambda0, h, n_steps + 1, gen)
     ch = np.concatenate([[0.0], np.cumsum(0.5 * h * (lam[1:] + lam[:-1]))])
     for arr in (grid, lam, ch):  # handed over as they are, not copied
         arr.setflags(write=False)

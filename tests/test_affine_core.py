@@ -9,6 +9,7 @@ Oracles used here:
   - Small Monte Carlo for the hazard transform.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from coxaffine import (
     FellerModel,
     Jet,
     RngStream,
+    TransformCoeffs,
     check_admissibility,
     cir_transform_closed_form,
     laplace_hazard,
@@ -60,6 +62,21 @@ def gaussian_laplace_quadrature(mu, m, v):
     z = np.linspace(m - 12.0 * sd, m + 12.0 * sd, 200_001)
     dens = np.exp(-0.5 * ((z - m) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
     return float(np.trapezoid(np.exp(-mu * z) * dens, z))
+
+
+def random_affine(rng, d):
+    """Square-root factors with an intensity that sums them; for d > 1 the
+    mean-reversion matrix couples the factors off its diagonal."""
+    kappa = np.diag(rng.uniform(0.5, 2.0, d)) + rng.uniform(-0.2, 0.2, (d, d)) * (1 - np.eye(d))
+    return AffineModel(
+        dim=d,
+        kappa=kappa,
+        theta=rng.uniform(0.5, 1.5, d),
+        sigma_mat=np.diag(rng.uniform(0.1, 0.6, d)),
+        a=np.zeros(d),
+        b=np.eye(d),
+        rho1=np.ones(d),
+    )
 
 
 class TestClosedForm:
@@ -104,6 +121,19 @@ class TestClosedForm:
             tc = cir_transform_closed_form(m, 1.0, h)
             assert tc.beta == pytest.approx(h, rel=1e-3)
             assert abs(tc.alpha) <= h
+
+    def test_long_horizon_matches_riccati(self):
+        # past e^{-g h/2} < 2^-26 (h > 160.4 here) alpha switches from the
+        # log1p form, whose argument rounds to -1 by h = 400, to the log form
+        m = FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=1.0)
+        for h in (200.0, 400.0, 1000.0):
+            exact = cir_transform_closed_form(m, 1.0, h)
+            ode = solve_transform_ode(m, 1.0, h)
+            assert exact.alpha == pytest.approx(ode.alpha, rel=1e-12)
+            assert exact.beta == pytest.approx(ode.beta, rel=1e-10)
+            jet = cir_transform_closed_form(m, Jet.variable(1.0, 4), h)
+            assert jet.alpha.value == exact.alpha
+            assert jet.laplace(1.0).value == exact.laplace(1.0)
 
     def test_negative_horizon_rejected(self):
         m = FellerModel(1, 1, 0.5, 1)
@@ -203,6 +233,49 @@ class TestRiccatiIntegrator:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             solve_transform_ode(FellerModel(1, 1, 0.5, 1), 1.0, 1.0, tol=0.0)
+
+
+class TestOnePath:
+    """A float mu runs as an order-0 jet: same arithmetic, same bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_float_run_is_the_jet_runs_order_zero(self, d):
+        rng = np.random.default_rng(1500 + d)
+        for order in (1, 2, 3, 5, 8, 13, 21, 30):
+            m = random_affine(rng, d)
+            mu0, h = rng.uniform(0.0, 2.0), rng.uniform(0.2, 3.0)
+            x = rng.uniform(0.2, 2.0, d)
+            flt = solve_transform_ode(m, mu0, h)
+            jet = solve_transform_ode(m, Jet.variable(mu0, order), h)
+            assert type(flt.alpha) is float and jet.alpha.order == order
+            assert jet.alpha.value == flt.alpha
+            fb = flt.beta if d > 1 else (flt.beta,)
+            jb = jet.beta if d > 1 else (jet.beta,)
+            assert [b.value for b in jb] == list(fb)
+            assert jet.laplace(x).value == flt.laplace(x)
+
+    def test_prob_no_arrival_is_pmf_order_zero(self):
+        from coxaffine import pmf, prob_no_arrival
+
+        rng = np.random.default_rng(77)
+        for m in (FellerModel(0.8, 1.1, 0.45, 0.9), random_affine(rng, 2)):
+            for h in (0.4, 1.3, 2.9):
+                assert prob_no_arrival(m, h) == pmf(m, h, k_max=12).probs[0]
+
+    @pytest.mark.parametrize("mu", [1.0, Jet.variable(1.0, 3)], ids=["float", "jet"])
+    def test_state_of_the_wrong_length_rejected(self, mu):
+        one = solve_transform_ode(FellerModel(1.0, 1.0, 0.5, 1.0), mu, 1.0)
+        two = solve_transform_ode(random_affine(np.random.default_rng(5), 2), mu, 1.0)
+        for tc, bad in ((one, [1.0, 2.0]), (two, [1.0]), (two, [1.0, 1.0, 5.0])):
+            with pytest.raises(ValueError, match="state of length"):
+                tc.laplace(bad)
+
+    def test_coeffs_hold_alpha_and_a_beta_tuple(self):
+        assert [f.name for f in dataclasses.fields(TransformCoeffs)] == ["alpha", "beta"]
+        m = random_affine(np.random.default_rng(6), 2)
+        for mu in (1.0, Jet.variable(1.0, 2)):
+            tc = solve_transform_ode(m, mu, 1.0)
+            assert isinstance(tc.beta, tuple) and len(tc.beta) == 2
 
 
 class TestLaplaceHazard:

@@ -120,6 +120,16 @@ class TestPmf:
         rows = [ln for ln in (out / "pmf.csv").read_text().splitlines() if ln and not ln.startswith("#")]
         assert rows[0] == "k,p_k" and len(rows) == 14
 
+    def test_long_horizons(self, tmp_path):
+        # the closed form's log1p argument rounds to -1 from about --len 400
+        model = write_model(tmp_path, UNIT_MODEL)
+        for length in ("400", "700", "1000"):
+            out = tmp_path / f"run{length}"
+            assert main(["pmf", "--model", model, "--out", str(out), "--kmax", "50",
+                         "--len", length]) == 0
+            doc = json.loads((out / "pmf.json").read_text())
+            assert sum(doc["probs"]) + doc["tail_bound"] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestFit:
     def test_dense_fixture_recovers_theta(self, tmp_path, monkeypatch):

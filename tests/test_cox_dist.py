@@ -141,6 +141,13 @@ class TestHazardMoments:
         assert m == 0.0
         assert abs(v) < 1e-14
 
+    def test_time_validation(self):
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="t must be"):
+                hazard_moments(BASE, t)
+            with pytest.raises(ValueError, match="t must be"):
+                mean_count(BASE, t)
+
 
 class TestCountMoments:
     def test_mean_examples(self):
