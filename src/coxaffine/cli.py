@@ -23,7 +23,13 @@ import numpy as np
 from . import data_io, estimate
 from .affine_core import ExplosionError, FellerModel, load_model, model_to_dict
 from .cox_dist import PrecisionError, mean_count, pmf, var_count
-from .simulate import RngStream, default_n_steps, simulate_arrivals, simulate_path
+from .simulate import (
+    RngStream,
+    _usable_cpus,
+    default_n_steps,
+    simulate_arrivals,
+    simulate_path,
+)
 
 __all__ = ["main", "cmd_simulate", "cmd_pmf", "cmd_fit", "cmd_validate"]
 
@@ -141,12 +147,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         init = _require_feller(load_model(args.model), "fit initialization")
     with open(args.data, "rb"):  # an unreadable log fails before any worker starts
         pass
-    # the CPUs this process may run on: its affinity mask, where there is one
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    with estimate.worker_map(min(cpus, estimate.FitOptions().n_restarts + 1)) as restart_map:
+    workers = min(_usable_cpus(), estimate.FitOptions().n_restarts + 1)
+    with estimate.worker_map(workers) as restart_map:
         log = data_io.load_events(args.data)
         series = data_io.aggregate(
             log,

@@ -16,13 +16,15 @@ exponential decay slope.
 
 Randomness is organized around :class:`RngStream`: a (seed, stream_id) pair
 plus an internal spawn key.  Monte Carlo work is split into fixed-size
-blocks, each with its own child stream, which run one after another in
-index order in the calling process and are reduced in that order.
+blocks, each with its own child stream.  The blocks run on up to one thread
+per usable CPU in this process and are reduced in block order, so results
+are bit-identical on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -75,6 +77,18 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(int(self.seed), spawn_key=self.key)
         return np.random.Generator(np.random.PCG64(ss))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_size(name: str, value, least: int = 1) -> None:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -232,8 +246,7 @@ def simulate_path(
         )
     if n_steps is None:
         n_steps = default_n_steps(model, horizon)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_size("n_steps", n_steps)
     gen = _as_generator(rng if rng is not None else RngStream(0))
     h = horizon / n_steps
     grid = np.linspace(0.0, horizon, n_steps + 1)
@@ -308,24 +321,39 @@ def _averaged_conditional_pmf(
     Block ``i`` of ``BLOCK_SIZE`` paths draws from ``rng.spawn(i)``:
     ``launch(gen, nb)`` returns its ``nb`` starting intensities, then
     ``_window_hazard`` advances them across the window on the same
-    generator.  The blocks run one after another in index order, in this
-    process, and their sums are reduced in that order.
+    generator.  The blocks run on up to one thread per usable CPU in this
+    process (numpy's draws and array loops release the GIL, and no two
+    blocks share a generator), and their sums are reduced in block order,
+    so the result is bit-identical on any number of CPUs.
     """
-    sums = np.zeros(k_max + 1)
-    sumsq = np.zeros(k_max + 1)
-    n_done = 0
-    block_id = 0
-    while n_done < n_paths:
-        nb = min(BLOCK_SIZE, n_paths - n_done)
-        gen = rng.spawn(block_id).generator()
+
+    def block(i):
+        nb = min(BLOCK_SIZE, n_paths - i * BLOCK_SIZE)
+        gen = rng.spawn(i).generator()
         hazard = _window_hazard(model, launch(gen, nb), window, n_steps, gen)
         pk = np.exp(-hazard)
+        sums = np.empty(k_max + 1)
+        sumsq = np.empty(k_max + 1)
         for k in range(k_max + 1):
-            sums[k] += pk.sum()
-            sumsq[k] += (pk * pk).sum()
+            sums[k] = pk.sum()
+            sumsq[k] = (pk * pk).sum()
             pk = pk * hazard / (k + 1)
-        n_done += nb
-        block_id += 1
+        return sums, sumsq
+
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    workers = min(n_blocks, _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(block, range(n_blocks)))
+    else:
+        parts = map(block, range(n_blocks))
+    sums = np.zeros(k_max + 1)
+    sumsq = np.zeros(k_max + 1)
+    for block_sums, block_sumsq in parts:
+        sums += block_sums
+        sumsq += block_sumsq
     phat = sums / n_paths
     var_hat = np.clip(sumsq / n_paths - phat**2, 0.0, None)
     return phat, np.sqrt(var_hat / n_paths)
@@ -356,13 +384,14 @@ def monte_carlo_pmf(
     variability.  They leave out the bias of the trapezoid hazard on the
     ``n_steps`` grid (``default_n_steps`` by default), which can exceed
     them in the far tail of the count law.  Blocks of ``BLOCK_SIZE`` paths
-    each use their own child stream and run one after another in index
-    order, in this process.
+    each use their own child stream, run on up to one thread per usable CPU
+    in this process and are reduced in block order, so the result is
+    bit-identical on any number of CPUs.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _check_size("n_paths", n_paths)
+    _check_size("k_max", k_max, least=0)
+    if n_steps is not None:
+        _check_size("n_steps", n_steps)
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not isinstance(rng, RngStream):
@@ -431,6 +460,7 @@ def distance_to_stationary(
     """
     if start not in ("fixed", "stationary"):
         raise ValueError(f"start must be 'fixed' or 'stationary', got {start!r}")
+    _check_size("n_paths", n_paths)
     if not isinstance(rng, RngStream):
         raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
     from scipy import stats
@@ -514,8 +544,7 @@ def euler_affine_path(
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_size("n_steps", n_steps)
     gen = _as_generator(rng)
     d = model.dim
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (d,)), dtype=float)

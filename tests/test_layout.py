@@ -10,6 +10,8 @@ it, so the package imports, and every CLI command runs, without loading any
 scipy module; ``fit`` and ``validate`` too, since the Ljung-Box p-value is
 computed in the package.  Importing the CLI starts no process,
 and the worker pool of ``fit`` or ``validate`` does not outlive the command.
+``concurrent.futures`` loads only inside the Monte Carlo block loop, so
+importing the CLI and running ``simulate`` or ``pmf`` never loads it.
 """
 
 import ast
@@ -87,16 +89,18 @@ _PROBE = """
 import json, multiprocessing, sys
 from coxaffine import cli
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(top="scipy"):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
 
 def children(stage):
     return [f"{stage}: {p.name}" for p in multiprocessing.active_children()]
 
 seen = {"import": loaded(), "children": children("import")}
+seen["futures"] = {"import": loaded("concurrent")}
 for name, argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, name
     seen[name] = loaded()
+    seen["futures"][name] = loaded("concurrent")
     seen["children"] += children(name)
 print(json.dumps(seen))
 """
@@ -140,6 +144,9 @@ def test_no_cli_command_loads_scipy(tmp_path):
     assert seen["children"] == [], seen["children"]
     assert seen["simulate"] == [], seen["simulate"]
     assert seen["pmf"] == [], seen["pmf"]
+    # start-up stays light: the thread pool's module loads only where it is used
+    for stage in ("import", "simulate", "pmf"):
+        assert seen["futures"][stage] == [], (stage, seen["futures"][stage])
     for name in ("fit", "validate", "validate_pool"):
         assert "scipy.stats" not in seen[name], seen[name]
         assert "scipy.optimize" not in seen[name], seen[name]

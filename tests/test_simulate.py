@@ -1,6 +1,8 @@
 """Exact transitions, path simulation, time-change arrivals, reproducibility."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from coxaffine import (
     FellerModel,
     PathSample,
     RngStream,
+    distance_to_stationary,
     euler_affine_path,
     mean_count,
     monte_carlo_pmf,
@@ -18,7 +21,8 @@ from coxaffine import (
     simulate_arrivals,
     simulate_path,
 )
-from coxaffine.simulate import _window_hazard, default_n_steps
+from coxaffine import simulate
+from coxaffine.simulate import BLOCK_SIZE, _window_hazard, default_n_steps
 
 BASE = FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=1.0)
 
@@ -270,6 +274,98 @@ class TestMonteCarloPmf:
         assert np.array_equal(a.pmf.probs, b.pmf.probs)
         assert a.n_paths == 16_384 + 7
         assert a.pmf.probs.sum() + a.pmf.tail_bound == pytest.approx(1.0, abs=1e-12)
+
+    def test_sizes_checked_before_any_block(self):
+        for n_steps in (-1, 0, 2.5):
+            with pytest.raises(ValueError, match="n_steps"):
+                monte_carlo_pmf(BASE, 1.0, 100, 3, RngStream(0), n_steps=n_steps)
+        for n_paths in (0, 2.5):
+            with pytest.raises(ValueError, match="n_paths"):
+                monte_carlo_pmf(BASE, 1.0, n_paths, 3, RngStream(0))
+
+    def test_distance_path_count_checked(self):
+        for n_paths in (0, -5):
+            with pytest.raises(ValueError, match="n_paths"):
+                distance_to_stationary(BASE, [0.0, 0.5], n_paths, RngStream(0))
+
+
+def reference_averaged_pmf(model, launch, n_paths, window, n_steps, k_max, rng):
+    """The block loop that runs one block after another in index order and
+    adds each block's sums as it goes; ``_averaged_conditional_pmf`` must
+    give its bits at any thread count."""
+    sums = np.zeros(k_max + 1)
+    sumsq = np.zeros(k_max + 1)
+    n_done = 0
+    block_id = 0
+    while n_done < n_paths:
+        nb = min(BLOCK_SIZE, n_paths - n_done)
+        gen = rng.spawn(block_id).generator()
+        hazard = _window_hazard(model, launch(gen, nb), window, n_steps, gen)
+        pk = np.exp(-hazard)
+        for k in range(k_max + 1):
+            sums[k] += pk.sum()
+            sumsq[k] += (pk * pk).sum()
+            pk = pk * hazard / (k + 1)
+        n_done += nb
+        block_id += 1
+    phat = sums / n_paths
+    var_hat = np.clip(sumsq / n_paths - phat**2, 0.0, None)
+    return phat, np.sqrt(var_hat / n_paths)
+
+
+N_PARTIAL = 2 * BLOCK_SIZE + 7  # the last block is partial
+T_GRID = [0.0, 0.5]
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    """``monte_carlo_pmf`` and ``distance_to_stationary`` through the reference loop."""
+    patch = pytest.MonkeyPatch()
+    try:
+        patch.setattr(simulate, "_averaged_conditional_pmf", reference_averaged_pmf)
+        mc = monte_carlo_pmf(BASE, 1.0, N_PARTIAL, 8, RngStream(31), n_steps=20)
+        dist = distance_to_stationary(BASE, T_GRID, N_PARTIAL, RngStream(32))
+    finally:
+        patch.undo()
+    return mc, dist
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+class TestBlockThreads:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_thread_count_changes_no_bits(self, cpus, monkeypatch, reference_runs, thread_starts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        ref_mc, ref_dist = reference_runs
+        before = threading.active_count()
+        mc = monte_carlo_pmf(BASE, 1.0, N_PARTIAL, 8, RngStream(31), n_steps=20)
+        dist = distance_to_stationary(BASE, T_GRID, N_PARTIAL, RngStream(32))
+        assert threading.active_count() == before
+        assert mc.pmf.probs.tobytes() == ref_mc.pmf.probs.tobytes()
+        assert mc.std_errors.tobytes() == ref_mc.std_errors.tobytes()
+        assert dist.distances.tobytes() == ref_dist.distances.tobytes()
+        # four estimates of three to five blocks each, on at most `cpus` threads
+        if cpus == 1:
+            assert thread_starts == []
+        else:
+            assert 4 <= len(thread_starts) <= 4 * cpus
+
+    def test_one_block_starts_no_thread(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monte_carlo_pmf(BASE, 1.0, BLOCK_SIZE, 8, RngStream(33), n_steps=5)
+        assert thread_starts == []
 
 
 class TestEulerPath:
