@@ -5,11 +5,26 @@ where every step is plain float arithmetic.  The QML objective calls it
 without ``steps`` for the loglik alone; ``kalman_filter`` passes a list to
 collect the per-step quantities.  Both get the same loglik bits.  A compiled
 twin would have to honour the same contract, operation order included.
+
+The loglik of a pass over n observations, with innovations v_t and
+innovation variances s_t, is
+
+    loglik = -0.5 * (n log(2 pi) + log(prod_t s_t) + sum_t v_t^2 / s_t)
+
+taken with one ``math.log`` per pass.  The product is kept as a float
+``prod`` times 2**E with E an int: an s_t outside [2**-400, 2**400] is
+multiplied in as its ``math.frexp`` mantissa, its exponent going to E, and
+``prod`` is renormalised by ``math.frexp`` whenever it leaves that range.
+So the product never overflows or underflows, and log(prod_t s_t) is
+``log(prod) + E * ln 2``.
 """
 
 import math
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_LO = 2.0**-400
+_HI = 2.0**400
 
 BACKEND = "python"
 
@@ -24,19 +39,28 @@ def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
     The first observation is filtered against the prior (m0, p0) directly.
     Returns (loglik, err_index); err_index is -1 on success or the first
     index where the innovation variance was not positive, and loglik is then
-    NaN.  When ``steps`` is a list, each completed step appends
-    ``(predicted_mean, predicted_var, filtered_mean, filtered_var,
-    innovation, innovation_var)`` to it.
+    NaN.  The loglik is -0.5 (n log 2pi + log prod s_t + sum v_t^2/s_t), with
+    the product carried as a mantissa and a binary exponent (module
+    docstring) and one ``math.log`` at the end.  When ``steps`` is a list,
+    each completed step appends ``(predicted_mean, predicted_var,
+    filtered_mean, filtered_var, innovation, innovation_var)`` to it.
     """
-    log = math.log
+    frexp = math.frexp
+    lo, hi = _LO, _HI
     aa = a * a
     cc = c * c
-    ll = 0.0
+    prod, exp2, quad = 1.0, 0, 0.0
     mp, pp = m0, p0
     for t, yt in enumerate(y):
         v = yt - (d + c * mp)
         s = cc * pp + r2
-        if not (s > 0.0):
+        if lo <= s <= hi:
+            prod *= s
+        elif s > 0.0:
+            f, e = frexp(s)
+            prod *= f
+            exp2 += e
+        else:
             return math.nan, t
         k = pp * c / s
         m = mp + k * v
@@ -45,10 +69,13 @@ def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
         p = (1.0 - k * c) * pp
         if steps is not None:
             steps.append((mp, pp, m, p, v, s))
-        ll += -0.5 * (_LOG_2PI + log(s) + v * v / s)
+        quad += v * v / s
+        if prod > hi or prod < lo:
+            prod, e = frexp(prod)
+            exp2 += e
         mp = a * m + b
         pp = aa * p + (q0 + q1 * m)
-    return ll, -1
+    return -0.5 * (len(y) * _LOG_2PI + (math.log(prod) + exp2 * _LN2) + quad), -1
 
 
 __all__ = ["filter_kernel", "BACKEND"]

@@ -496,7 +496,7 @@ def to_observable(
     """
     if M is None:
         M = series.M
-    if not (isinstance(M, (int, np.integer)) and M > 0):
+    if not (isinstance(M, (int, np.integer)) and not isinstance(M, bool) and M > 0):
         raise ValueError(f"M must be a positive integer, got {M!r}")
     if mapping not in _OBS_MAPPINGS:
         raise ValueError(f"mapping must be one of {_OBS_MAPPINGS}, got {mapping!r}")

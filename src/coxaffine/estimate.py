@@ -12,7 +12,12 @@ window.  The transition variance is evaluated at the previous filtered mean,
 and the filtered mean is floored at zero since the state is an intensity.
 The quasi log-likelihood is the sum of Gaussian innovation terms over all
 observations, which coincides with the joint Gaussian log-density of the
-observation vector when the per-step variances are held fixed.
+observation vector when the per-step variances are held fixed.  With
+innovations v_t and innovation variances s_t over n observations,
+
+    loglik = -0.5 * (n log(2 pi) + log(prod_t s_t) + sum_t v_t^2 / s_t),
+
+which ``_backend.filter_kernel`` takes with one log per pass.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def _usable_cpus() -> int:
 
 
 def _check_size(name: str, value, least: int = 1) -> None:
-    if not isinstance(value, (int, np.integer)) or value < least:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -204,11 +204,29 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
 
 def _cir_chain(model: FellerModel, start: float, dt: float, n: int, gen) -> np.ndarray:
     """``n`` values of one square-root path at spacing ``dt`` from ``start``,
-    advanced by exact scalar transitions drawn from ``gen`` in order."""
+    advanced by exact scalar transitions drawn from ``gen`` in order.
+
+    A step on the chi-square route of ``sample_cir_transition`` makes its
+    two generator calls here on Python floats, with the same arguments;
+    every other step (the Normal and deterministic routes, and bad input)
+    goes through ``sample_cir_transition``.  So the values and the draws
+    taken from ``gen`` are those of calling it once per step.
+    """
     lam = np.empty(n)
     lam[0] = start
+    e, c, dfree = _transition_constants(model, dt)
+    # a NaN scale sends every step to sample_cir_transition
+    scale = e / c if dt > 0 and c > 0.0 and dfree <= 1e12 else math.nan
+    half_df, c2 = 0.5 * dfree, c * 2.0
+    poisson, gamma = gen.poisson, gen.standard_gamma
+    x = float(start)
     for i in range(1, n):
-        lam[i] = sample_cir_transition(model, lam[i - 1], dt, gen)
+        noncent = x * scale
+        if 0.0 <= noncent <= 1e12:
+            x = c2 * gamma(half_df + poisson(0.5 * noncent))
+        else:
+            x = sample_cir_transition(model, x, dt, gen)
+        lam[i] = x
     return lam
 
 

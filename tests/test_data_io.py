@@ -589,6 +589,9 @@ class TestToObservable:
     def test_validation(self):
         with pytest.raises(ValueError, match="M must be"):
             to_observable(self.series([1]), M=0)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="M must be"):
+                to_observable(self.series([1]), M=flag)
         with pytest.raises(ValueError, match="mapping"):
             to_observable(self.series([1]), mapping="sqrt")
 

@@ -111,6 +111,53 @@ class TestTransition:
             sample_cir_transition(BASE, -0.1, 0.5, gen)
 
 
+def per_step_chain(model, start, dt, n, gen):
+    """One ``sample_cir_transition`` call per step: what ``_cir_chain`` must equal."""
+    lam = np.empty(n)
+    lam[0] = start
+    for i in range(1, n):
+        lam[i] = sample_cir_transition(model, lam[i - 1], dt, gen)
+    return lam
+
+
+class TestCirChain:
+    @pytest.mark.parametrize(
+        "model, start, dt",
+        [
+            # chi-square route at every step, from the boundary and from 1
+            (BASE, 1.0, 0.01),
+            (FellerModel(kappa=0.02, theta=1.0, sigma=0.4, lambda0=0.5), 0.0, 5.0),
+            # Normal route at every step: degrees of freedom above 1e12
+            (FellerModel(kappa=1.0, theta=1.0, sigma=1e-7, lambda0=1.3), 1.3, 0.4),
+            # noncentrality above 1e12 for the first steps, chi-square after
+            (FellerModel(kappa=1.0, theta=1.0, sigma=1e-5, lambda0=100.0), 100.0, 1.0),
+            # sigma^2 underflows: the deterministic route
+            (FellerModel(kappa=1.0, theta=1.0, sigma=1e-300, lambda0=1.3), 1.3, 0.4),
+        ],
+    )
+    def test_bits_and_draws_match_the_per_step_sampler(self, model, start, dt):
+        gen = RngStream(2301).generator()
+        replay = RngStream(2301).generator()
+        got = simulate._cir_chain(model, start, dt, 3000, gen)
+        want = per_step_chain(model, start, dt, 3000, replay)
+        assert got.tobytes() == want.tobytes()
+        assert gen.random() == replay.random()  # the same draws were taken
+
+    def test_mixed_case_takes_both_routes(self):
+        model = FellerModel(kappa=1.0, theta=1.0, sigma=1e-5, lambda0=100.0)
+        e, c, _ = simulate._transition_constants(model, 1.0)
+        lam = simulate._cir_chain(model, 100.0, 1.0, 50, RngStream(2301).generator())
+        noncent = lam[:-1] * (e / c)
+        assert (noncent > 1e12).any() and (noncent <= 1e12).any()
+
+    def test_bad_input_raises_as_the_sampler_does(self):
+        gen = RngStream(0).generator()
+        with pytest.raises(ValueError, match="lambda_s"):
+            simulate._cir_chain(BASE, -0.1, 0.5, 3, gen)
+        with pytest.raises(ValueError, match="dt"):
+            simulate._cir_chain(BASE, 1.0, 0.0, 3, gen)
+
+
 class TestPathSimulation:
     def test_hazard_mean_matches_count_mean(self):
         model = FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=2.0)
@@ -282,6 +329,20 @@ class TestMonteCarloPmf:
         for n_paths in (0, 2.5):
             with pytest.raises(ValueError, match="n_paths"):
                 monte_carlo_pmf(BASE, 1.0, n_paths, 3, RngStream(0))
+
+    def test_bool_sizes_rejected(self):
+        # bool is an int subclass; True must not pass as one path or one step
+        for kwargs in ({"n_steps": True}, {"n_steps": False}):
+            with pytest.raises(ValueError, match="n_steps"):
+                monte_carlo_pmf(BASE, 1.0, 100, 3, RngStream(0), **kwargs)
+        with pytest.raises(ValueError, match="n_paths"):
+            monte_carlo_pmf(BASE, 1.0, True, 3, RngStream(0), n_steps=True)
+        with pytest.raises(ValueError, match="k_max"):
+            monte_carlo_pmf(BASE, 1.0, 100, False, RngStream(0))
+        with pytest.raises(ValueError, match="n_steps"):
+            simulate_path(BASE, 1.0, n_steps=True, rng=RngStream(0))
+        with pytest.raises(ValueError, match="n_paths"):
+            distance_to_stationary(BASE, [0.0], True, RngStream(0))
 
     def test_distance_path_count_checked(self):
         for n_paths in (0, -5):
