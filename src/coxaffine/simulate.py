@@ -169,14 +169,23 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
     a large element never changes how its neighbours are drawn.  The route
     depends on lambda_s, never on the draws, so reproducibility across
     schedules is unaffected.
+
+    A float ``lambda_s`` on the chi-square route makes the same two draws on
+    Python floats, without the array round trip, so a path advanced one
+    scalar at a time gets the bits and the draws of the array route.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    e, c, dfree = _transition_constants(model, dt)
+    if isinstance(lambda_s, float) and lambda_s >= 0.0 and c > 0.0 and dfree <= 1e12:
+        noncent = lambda_s * (e / c)
+        if noncent <= 1e12:
+            gen = _as_generator(rng)
+            return float(c * 2.0 * gen.standard_gamma(0.5 * dfree + gen.poisson(0.5 * noncent)))
     lam = np.asarray(lambda_s, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda_s must be >= 0")
     gen = _as_generator(rng)
-    e, c, dfree = _transition_constants(model, dt)
     mean = model.theta + (lam - model.theta) * e
     if c <= 0.0 or not math.isfinite(dfree):
         # sigma^2 (or the step) underflowed: the transition is deterministic
@@ -204,29 +213,11 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
 
 def _cir_chain(model: FellerModel, start: float, dt: float, n: int, gen) -> np.ndarray:
     """``n`` values of one square-root path at spacing ``dt`` from ``start``,
-    advanced by exact scalar transitions drawn from ``gen`` in order.
-
-    A step on the chi-square route of ``sample_cir_transition`` makes its
-    two generator calls here on Python floats, with the same arguments;
-    every other step (the Normal and deterministic routes, and bad input)
-    goes through ``sample_cir_transition``.  So the values and the draws
-    taken from ``gen`` are those of calling it once per step.
-    """
+    advanced by exact scalar transitions drawn from ``gen`` in order."""
     lam = np.empty(n)
     lam[0] = start
-    e, c, dfree = _transition_constants(model, dt)
-    # a NaN scale sends every step to sample_cir_transition
-    scale = e / c if dt > 0 and c > 0.0 and dfree <= 1e12 else math.nan
-    half_df, c2 = 0.5 * dfree, c * 2.0
-    poisson, gamma = gen.poisson, gen.standard_gamma
-    x = float(start)
     for i in range(1, n):
-        noncent = x * scale
-        if 0.0 <= noncent <= 1e12:
-            x = c2 * gamma(half_df + poisson(0.5 * noncent))
-        else:
-            x = sample_cir_transition(model, x, dt, gen)
-        lam[i] = x
+        lam[i] = sample_cir_transition(model, lam[i - 1], dt, gen)
     return lam
 
 

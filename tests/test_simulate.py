@@ -111,12 +111,13 @@ class TestTransition:
             sample_cir_transition(BASE, -0.1, 0.5, gen)
 
 
-def per_step_chain(model, start, dt, n, gen):
-    """One ``sample_cir_transition`` call per step: what ``_cir_chain`` must equal."""
+def array_route_chain(model, start, dt, n, gen):
+    """A chain advanced through the array route of ``sample_cir_transition``,
+    one single-element array per step: what the scalar route must equal."""
     lam = np.empty(n)
     lam[0] = start
     for i in range(1, n):
-        lam[i] = sample_cir_transition(model, lam[i - 1], dt, gen)
+        lam[i] = sample_cir_transition(model, lam[i - 1 : i], dt, gen)[0]
     return lam
 
 
@@ -129,17 +130,19 @@ class TestCirChain:
             (FellerModel(kappa=0.02, theta=1.0, sigma=0.4, lambda0=0.5), 0.0, 5.0),
             # Normal route at every step: degrees of freedom above 1e12
             (FellerModel(kappa=1.0, theta=1.0, sigma=1e-7, lambda0=1.3), 1.3, 0.4),
+            # ... and with a noncentrality near 2e8, far below it
+            (FellerModel(kappa=1.0, theta=1.0, sigma=1e-6, lambda0=1.0), 1.0, 10.0),
             # noncentrality above 1e12 for the first steps, chi-square after
             (FellerModel(kappa=1.0, theta=1.0, sigma=1e-5, lambda0=100.0), 100.0, 1.0),
             # sigma^2 underflows: the deterministic route
             (FellerModel(kappa=1.0, theta=1.0, sigma=1e-300, lambda0=1.3), 1.3, 0.4),
         ],
     )
-    def test_bits_and_draws_match_the_per_step_sampler(self, model, start, dt):
+    def test_bits_and_draws_match_the_array_route(self, model, start, dt):
         gen = RngStream(2301).generator()
         replay = RngStream(2301).generator()
         got = simulate._cir_chain(model, start, dt, 3000, gen)
-        want = per_step_chain(model, start, dt, 3000, replay)
+        want = array_route_chain(model, start, dt, 3000, replay)
         assert got.tobytes() == want.tobytes()
         assert gen.random() == replay.random()  # the same draws were taken
 
@@ -156,6 +159,10 @@ class TestCirChain:
             simulate._cir_chain(BASE, -0.1, 0.5, 3, gen)
         with pytest.raises(ValueError, match="dt"):
             simulate._cir_chain(BASE, 1.0, 0.0, 3, gen)
+        # exp(-kappa dt) underflows to 0, so the noncentrality of a negative
+        # lambda is -0.0: the float route must still reject it
+        with pytest.raises(ValueError, match="lambda_s"):
+            sample_cir_transition(BASE, -0.1, 1e4, gen)
 
 
 class TestPathSimulation:
