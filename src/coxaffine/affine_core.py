@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -41,6 +41,16 @@ __all__ = [
 ]
 
 Scalar = Union[float, Jet]
+
+
+def _is_real(value) -> bool:
+    """An int or float, numpy scalars included, but not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _check_size(name: str, value, least: int = 1) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class ExplosionError(RuntimeError):
@@ -72,9 +82,9 @@ class FellerModel:
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-        if not (math.isfinite(self.lambda0) and self.lambda0 >= 0):
+        if not (_is_real(self.lambda0) and math.isfinite(self.lambda0) and self.lambda0 >= 0):
             raise ValueError(f"lambda0 must be finite and >= 0, got {self.lambda0!r}")
 
     @property
@@ -126,9 +136,9 @@ class AffineModel:
     rho1: np.ndarray = None
 
     def __post_init__(self):
-        d = self.dim
-        if not (isinstance(d, int) and d >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_size("dim", self.dim)
+        d = int(self.dim)
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "kappa", _readonly(self.kappa))
         object.__setattr__(self, "theta", _readonly(self.theta))
         object.__setattr__(self, "sigma_mat", _readonly(self.sigma_mat))
@@ -555,51 +565,47 @@ def check_admissibility(model: AffineModel) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {"feller": FellerModel, "affine": AffineModel}
+
+
 def model_to_dict(model: Union[FellerModel, AffineModel]) -> dict:
-    if isinstance(model, FellerModel):
-        return {
-            "kind": "feller",
-            "kappa": model.kappa,
-            "theta": model.theta,
-            "sigma": model.sigma,
-            "lambda0": model.lambda0,
-        }
-    if isinstance(model, AffineModel):
-        return {
-            "kind": "affine",
-            "dim": model.dim,
-            "kappa": model.kappa.tolist(),
-            "theta": model.theta.tolist(),
-            "sigma_mat": model.sigma_mat.tolist(),
-            "a": model.a.tolist(),
-            "b": model.b.tolist(),
-            "rho0": model.rho0,
-            "rho1": model.rho1.tolist(),
-        }
+    """The model-file form: ``kind``, then every field in declaration order,
+    arrays as nested lists."""
+    for kind, cls in _KINDS.items():
+        if isinstance(model, cls):
+            doc = {"kind": kind}
+            for f in fields(model):
+                value = getattr(model, f.name)
+                doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+            return doc
     raise TypeError(f"not a model: {type(model).__name__}")
 
 
+def _model_value(key: str, value, kind: str):
+    """A model-file value for a field annotated ``kind``: a JSON number, whole
+    for ``dim``, or nested lists of numbers for an array field."""
+    if kind == "np.ndarray" and isinstance(value, list):
+        return [_model_value(key, v, kind) for v in value]
+    whole = kind == "int"
+    if not _is_real(value) or (whole and value % 1 != 0):
+        what = "a whole number" if whole else "a number"
+        raise ValueError(f"model file: {key} must be {what}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def model_from_dict(doc: dict):
-    kind = doc.get("kind")
-    if kind == "feller":
-        return FellerModel(
-            kappa=float(doc["kappa"]),
-            theta=float(doc["theta"]),
-            sigma=float(doc["sigma"]),
-            lambda0=float(doc.get("lambda0", 0.0)),
-        )
-    if kind == "affine":
-        return AffineModel(
-            dim=int(doc["dim"]),
-            kappa=doc["kappa"],
-            theta=doc["theta"],
-            sigma_mat=doc["sigma_mat"],
-            a=doc["a"],
-            b=doc["b"],
-            rho0=float(doc.get("rho0", 0.0)),
-            rho1=doc.get("rho1"),
-        )
-    raise ValueError(f"unknown model kind {kind!r} (expected 'feller' or 'affine')")
+    """The model that ``doc``, a model-file object, describes.  A field with a
+    default may be left out; any other value that is not a number raises
+    ValueError naming its key."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r} (expected 'feller' or 'affine')")
+    args = {}
+    for f in fields(cls):
+        if f.name in doc or f.default is MISSING:
+            args[f.name] = _model_value(f.name, doc[f.name], f.type)
+    return cls(**args)
 
 
 def save_model(model, path) -> None:

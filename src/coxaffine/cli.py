@@ -13,6 +13,7 @@ estimation failure), 2 usage or data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -48,14 +49,7 @@ def _config_dict(args: argparse.Namespace, model=None, pipeline=None) -> dict:
     if model is not None:
         cfg["model_params"] = model_to_dict(model)
     if pipeline is not None:
-        cfg["pipeline"] = {
-            "session_start": pipeline.session_start.isoformat(timespec="minutes"),
-            "session_end": pipeline.session_end.isoformat(timespec="minutes"),
-            "interval_seconds": pipeline.interval_seconds,
-            "M": pipeline.M,
-            "mapping": pipeline.mapping,
-            "average_days": pipeline.average_days,
-        }
+        cfg["pipeline"] = pipeline.to_dict()
     return cfg
 
 
@@ -75,6 +69,11 @@ def _write_csv(path: str, cfg: dict, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+
+
+def _write_records(path: str, cfg: dict, records: list) -> None:
+    """A CSV of dict records, its header the keys of the first."""
+    _write_csv(path, cfg, records[0].keys(), (r.values() for r in records))
 
 
 def _require_feller(model, what: str) -> FellerModel:
@@ -160,7 +159,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         y, spec = estimate.observation_model(series)
         cfg = _config_dict(args, model=init, pipeline=pipeline)
         cfg["n_obs"] = int(y.size)
-        cfg["spec"] = {"delta": spec.delta, "window": spec.window, "mapping": spec.mapping}
+        cfg["spec"] = dataclasses.asdict(spec)
 
         result = estimate.fit(
             y,
@@ -175,17 +174,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     payload = result.as_dict()
     payload["config"] = cfg
     _write_json(os.path.join(args.out, "estimate.json"), payload)
-    se = result.std_errors
+    se = result.std_errors.as_dict()
     _write_csv(
         os.path.join(args.out, "params.csv"),
         cfg,
         ["parameter", "estimate", "std_error"],
-        [
-            ["kappa", result.params.kappa, se.kappa],
-            ["theta", result.params.theta, se.theta],
-            ["sigma", result.params.sigma, se.sigma],
-            ["R", result.R, se.R],
-        ],
+        ((p, v, se[p]) for p, v in zip(estimate.PARAM_NAMES, result.estimates)),
     )
     _write_csv(
         os.path.join(args.out, "residuals.csv"),
@@ -199,15 +193,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         ["index", "observed", "one_step_fit", "filtered_intensity"],
         zip(range(y.size), y, filt.one_step_fit, filt.filtered_mean),
     )
-    _write_csv(
-        os.path.join(args.out, "ljung_box.csv"),
-        cfg,
-        ["lag", "statistic", "p_value"],
-        (
-            (row["lag"], row["statistic"], row["p_value"])
-            for row in result.diagnostics.rows()
-        ),
-    )
+    _write_records(os.path.join(args.out, "ljung_box.csv"), cfg, result.diagnostics.rows())
     return 0
 
 
@@ -227,16 +213,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         rng=RngStream(args.seed),
         jobs=args.jobs,
     )
-    _write_csv(
-        os.path.join(args.out, "replication_summary.csv"),
-        cfg,
-        ["parameter", "true_value", "mean_estimate", "mqe", "std_dev"],
-        (
-            (r["parameter"], r["true_value"], r["mean_estimate"], r["mqe"], r["std_dev"])
-            for r in summary.summary_rows()
-        ),
-    )
-    for param in ("kappa", "theta", "sigma"):
+    rows = summary.summary_rows()
+    _write_records(os.path.join(args.out, "replication_summary.csv"), cfg, rows)
+    for param in estimate.PARAM_NAMES[:-1]:  # the intensity's rates, not R
         edges, counts = summary.histogram(param, bins=20)
         _write_csv(
             os.path.join(args.out, f"hist_{param}.csv"),
@@ -250,15 +229,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _write_csv(
         os.path.join(args.out, "estimates.csv"),
         cfg,
-        ["kappa", "theta", "sigma", "R", "converged", "ljung_box_clean"],
+        [*estimate.PARAM_NAMES, "converged", "ljung_box_clean"],
         (
-            (row[0], row[1], row[2], row[3], int(conv), int(lb))
+            (*row, int(conv), int(lb))
             for row, conv, lb in zip(summary.estimates, summary.converged, summary.lb_passed)
         ),
     )
     payload = {
         "config": cfg,
-        "summary": summary.summary_rows(),
+        "summary": rows,
         "n_requested": summary.n_requested,
         "n_failed": summary.n_failed,
         "n_converged": int(summary.converged.sum()),

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .affine_core import AffineModel, FellerModel, laplace_hazard
+from .affine_core import AffineModel, FellerModel, _check_size, laplace_hazard
 from .jets import Jet
 
 __all__ = [
@@ -105,10 +105,10 @@ def pmf(model: Model, horizon: float, k_max: int = 50, x0=None) -> CountPmf:
     """Count probabilities p_k = ((-1)^k / k!) d^k L / d mu^k at mu = 1.
 
     One jet evaluation of order k_max at expansion point 1 produces all the
-    derivatives at once.
+    derivatives at once.  ``k_max`` is an integer >= 0, numpy's included,
+    and not a bool.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _check_size("k_max", k_max, least=0)
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     mu = Jet.variable(1.0, k_max)

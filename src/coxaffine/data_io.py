@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, time, timedelta, timezone
 from typing import Optional
 
@@ -529,10 +529,20 @@ class PipelineConfig:
     def sessions(self):
         return (self.session_start, self.session_end)
 
+    def to_dict(self) -> dict:
+        """The JSON object that ``load_pipeline_config`` reads back as this
+        config.  A session bound is written as 'HH:MM' when it falls on a
+        whole minute, and in full ISO form otherwise."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("session_start", "session_end"):
+            t = doc[key]
+            doc[key] = t.isoformat("minutes" if t.second == t.microsecond == 0 else "auto")
+        return doc
+
 
 _CONFIG_RULES = {
-    "session_start": "an 'HH:MM' string",
-    "session_end": "an 'HH:MM' string",
+    "session_start": "an 'HH:MM' or 'HH:MM:SS' string",
+    "session_end": "an 'HH:MM' or 'HH:MM:SS' string",
     "interval_seconds": "a positive finite number",
     "M": "a positive integer",
     "mapping": f"one of {_OBS_MAPPINGS}",

@@ -36,6 +36,7 @@ from .cox_dist import stationary_intensity
 from .simulate import RngStream, _cir_chain
 
 __all__ = [
+    "PARAM_NAMES",
     "StateSpaceSpec",
     "observation_model",
     "FilterOutput",
@@ -62,7 +63,9 @@ _OBSERVABLE_MEASUREMENT = {
     "no_arrival_proxy": "prob_no_arrival",
     "frequency": "prob_no_arrival",
 }
-_PARAM_NAMES = ("kappa", "theta", "sigma", "R")
+# the fitted parameters, in the order of every record that holds them:
+# the intensity's three, then the measurement noise
+PARAM_NAMES = ("kappa", "theta", "sigma", "R")
 _MIN_OBS = 20
 _PERTURB_SCALE = 0.7  # restart offsets in log-parameters, times a standard normal
 _XATOL = 1e-8  # stopping tolerances of _nelder_mead, the in-house simplex (stable tie order)
@@ -149,13 +152,9 @@ class StdErrorReport:
     hessian_warning: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "R": self.R,
-            "hessian_warning": self.hessian_warning,
-        }
+        doc = {p: getattr(self, p) for p in PARAM_NAMES}
+        doc["hessian_warning"] = self.hessian_warning
+        return doc
 
 
 @dataclass(frozen=True)
@@ -169,14 +168,14 @@ class EstimationResult:
     n_obs: int
     filter_output: FilterOutput  # the pass at the optimum; as_dict() leaves it out
 
+    @property
+    def estimates(self) -> tuple:
+        """The fitted values in ``PARAM_NAMES`` order."""
+        return _param_values(self.params, self.R)
+
     def as_dict(self) -> dict:
         return {
-            "estimates": {
-                "kappa": self.params.kappa,
-                "theta": self.params.theta,
-                "sigma": self.params.sigma,
-                "R": self.R,
-            },
+            "estimates": dict(zip(PARAM_NAMES, self.estimates)),
             "std_errors": self.std_errors.as_dict(),
             "loglik": self.loglik,
             "converged": self.converged,
@@ -214,6 +213,11 @@ def _observable(obs) -> np.ndarray:
     if bad.any():
         raise ValueError(f"non-finite observation at index {int(np.argmax(bad))}")
     return y
+
+
+def _param_values(model: FellerModel, R: float) -> tuple:
+    """A Feller model's rates and a noise R, in ``PARAM_NAMES`` order."""
+    return tuple(getattr(model, p) for p in PARAM_NAMES[:-1]) + (R,)
 
 
 class _Rates(NamedTuple):
@@ -598,13 +602,7 @@ def std_errors(
         var_log = np.clip(var_log, 0.0, None)
     se_log = np.sqrt(var_log)
     nat = np.exp(x) * se_log  # delta method: d(exp x)/dx = exp x
-    return StdErrorReport(
-        kappa=float(nat[0]),
-        theta=float(nat[1]),
-        sigma=float(nat[2]),
-        R=float(nat[3]),
-        hessian_warning=warning,
-    )
+    return StdErrorReport(**dict(zip(PARAM_NAMES, nat.tolist())), hessian_warning=warning)
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -731,7 +729,7 @@ class ReplicationSummary:
     """Aggregates of repeated simulate-and-fit experiments."""
 
     true_values: dict
-    estimates: np.ndarray  # shape (n_ok, 4): kappa, theta, sigma, R
+    estimates: np.ndarray  # shape (n_ok, 4), columns in PARAM_NAMES order
     converged: np.ndarray
     lb_passed: np.ndarray  # Ljung-Box clean residuals per replication
     n_requested: int
@@ -742,7 +740,7 @@ class ReplicationSummary:
         return self.estimates.mean(axis=0)
 
     def mqe(self) -> np.ndarray:
-        truths = np.array([self.true_values[p] for p in _PARAM_NAMES])
+        truths = np.array([self.true_values[p] for p in PARAM_NAMES])
         return ((self.estimates - truths) ** 2).mean(axis=0)
 
     def std(self) -> np.ndarray:
@@ -751,7 +749,7 @@ class ReplicationSummary:
     def summary_rows(self) -> list:
         """One dict per parameter; ``std_dev`` is None below two replications."""
         means, mqes = self.mean_estimates(), self.mqe()
-        stds = self.std().tolist() if len(self.estimates) > 1 else [None] * len(_PARAM_NAMES)
+        stds = self.std().tolist() if len(self.estimates) > 1 else [None] * len(PARAM_NAMES)
         return [
             {
                 "parameter": p,
@@ -760,11 +758,11 @@ class ReplicationSummary:
                 "mqe": float(mqes[i]),
                 "std_dev": stds[i],
             }
-            for i, p in enumerate(_PARAM_NAMES)
+            for i, p in enumerate(PARAM_NAMES)
         ]
 
     def histogram(self, param: str, bins: int = 20):
-        i = _PARAM_NAMES.index(param)
+        i = PARAM_NAMES.index(param)
         counts, edges = np.histogram(self.estimates[:, i], bins=bins)
         return edges, counts
 
@@ -777,8 +775,7 @@ def _replicate_one(args) -> tuple:
         result = fit(y, spec, init=model, R_init=R, rng=stream.spawn(1))
     except (EstimationError, ValueError, ArithmeticError) as exc:
         return None, str(exc)
-    est = (result.params.kappa, result.params.theta, result.params.sigma, result.R)
-    return (est, result.converged, result.diagnostics.passed()), None
+    return (result.estimates, result.converged, result.diagnostics.passed()), None
 
 
 def replication_study(
@@ -814,12 +811,7 @@ def replication_study(
         raise EstimationError("every replication failed")
     rows, conv, lb = zip(*done)
     return ReplicationSummary(
-        true_values={
-            "kappa": true_params.kappa,
-            "theta": true_params.theta,
-            "sigma": true_params.sigma,
-            "R": R,
-        },
+        true_values=dict(zip(PARAM_NAMES, _param_values(true_params, R))),
         estimates=np.asarray(rows, dtype=float),
         converged=np.asarray(conv, dtype=bool),
         lb_passed=np.asarray(lb, dtype=bool),

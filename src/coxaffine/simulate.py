@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .affine_core import AffineModel, FellerModel
+from .affine_core import AffineModel, FellerModel, _check_size
 from .cox_dist import CountPmf, stationary_count, stationary_intensity
 
 __all__ = [
@@ -84,11 +84,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _check_size(name: str, value, least: int = 1) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -374,6 +374,47 @@ class TestModelSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             model_from_dict({"kind": "heston"})
+        with pytest.raises(ValueError):
+            model_from_dict([{"kind": "feller"}])
+
+    def test_dict_follows_the_fields(self):
+        for m in (FellerModel(1, 1, 0.5, 1), vasicek_model(0.8, 0.1, 0.02, rho0=0.05)):
+            doc = model_to_dict(m)
+            assert list(doc) == ["kind"] + [f.name for f in dataclasses.fields(m)]
+            assert model_to_dict(model_from_dict(doc)) == doc
+
+    FELLER = {"kind": "feller", "kappa": 1.0, "theta": 1.0, "sigma": 0.5, "lambda0": 1.0}
+    AFFINE = {"kind": "affine", "dim": 1, "kappa": [[1.0]], "theta": [1.0],
+              "sigma_mat": [[0.5]], "a": [0.0], "b": [[1.0]], "rho0": 0.0, "rho1": [1.0]}
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            (FELLER, "kappa", True),
+            (FELLER, "kappa", "0.5"),
+            (FELLER, "theta", None),
+            (FELLER, "sigma", [0.5]),
+            (FELLER, "lambda0", False),
+            (AFFINE, "dim", 1.5),
+            (AFFINE, "dim", True),
+            (AFFINE, "dim", "1"),
+            (AFFINE, "rho0", True),
+            (AFFINE, "theta", ["1.0"]),
+            (AFFINE, "kappa", [[True]]),
+        ],
+    )
+    def test_values_must_be_numbers(self, base, key, value):
+        with pytest.raises(ValueError, match=key):
+            model_from_dict({**base, key: value})
+
+    def test_whole_and_integer_values_read_as_numbers(self):
+        m = model_from_dict({**self.FELLER, "kappa": 2, "lambda0": 0})
+        assert m.kappa == 2.0 and type(m.kappa) is float and type(m.lambda0) is float
+        a = model_from_dict({**self.AFFINE, "dim": 1.0, "kappa": [[2]]})
+        assert a.dim == 1 and type(a.dim) is int and a.kappa[0, 0] == 2.0
+        with pytest.raises(KeyError):
+            model_from_dict({k: v for k, v in self.FELLER.items() if k != "sigma"})
+        assert model_from_dict({k: v for k, v in self.FELLER.items() if k != "lambda0"}).lambda0 == 0.0
 
     def test_dict_is_json_ready(self):
         import json
@@ -386,6 +427,25 @@ class TestModelSerialization:
             FellerModel(kappa=-1.0, theta=1.0, sigma=0.5, lambda0=1.0)
         with pytest.raises(ValueError):
             FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=-0.1)
+
+    def test_bools_are_not_numbers(self):
+        with pytest.raises(ValueError, match="kappa"):
+            FellerModel(True, 1.0, 0.5, lambda0=1.0)
+        with pytest.raises(ValueError, match="lambda0"):
+            FellerModel(1.0, 1.0, 0.5, lambda0=False)
+        with pytest.raises(ValueError, match="lambda0"):
+            FellerModel(1.0, 1.0, 0.5, lambda0="1")
+        for dim in (True, 1.0, np.bool_(True)):
+            with pytest.raises(ValueError, match="dim"):
+                AffineModel(dim=dim, kappa=[[1.0]], theta=[1.0], sigma_mat=[[0.5]],
+                            a=[0.0], b=[[1.0]])
+
+    def test_numpy_scalars_are_numbers(self):
+        m = FellerModel(np.int64(1), np.float64(1.0), np.float32(0.5), lambda0=np.int32(0))
+        assert m.kappa == 1 and m.sigma == 0.5
+        a = AffineModel(dim=np.int64(1), kappa=[[1.0]], theta=[1.0], sigma_mat=[[0.5]],
+                        a=[0.0], b=[[1.0]])
+        assert a.dim == 1 and type(a.dim) is int
 
     def test_feller_condition_flag(self):
         assert FellerModel(1.0, 1.0, 1.0, 1.0).feller_condition

@@ -62,7 +62,7 @@ class TestSimulate:
         with open(tmp_path / "run" / "path.csv") as fh:
             fh.readline()
             assert fh.readline().strip() == "t,lambda,cum_hazard"
-        n_rows = sum(1 for _ in open(tmp_path / "run" / "arrivals.csv")) - 2
+        n_rows = len((tmp_path / "run" / "arrivals.csv").read_text().splitlines()) - 2
         assert n_rows == summary["n_arrivals"]
         cfg = read_config_line(str(tmp_path / "run" / "path.csv"))
         assert cfg == read_config_line(str(tmp_path / "run" / "arrivals.csv"))
@@ -102,8 +102,8 @@ class TestSimulate:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--model", model, "--out", a, "--seed", "1"])
         main(["simulate", "--model", model, "--out", b, "--seed", "2"])
-        na = json.loads(open(os.path.join(a, "summary.json")).read())["n_arrivals"]
-        nb = json.loads(open(os.path.join(b, "summary.json")).read())["n_arrivals"]
+        na = json.loads((tmp_path / "a" / "summary.json").read_text())["n_arrivals"]
+        nb = json.loads((tmp_path / "b" / "summary.json").read_text())["n_arrivals"]
         assert na != nb
 
 
@@ -169,6 +169,38 @@ class TestFit:
         assert contexts == ["spawn"]  # the two-CPU run only
         assert written[0] == written[1]
         assert multiprocessing.active_children() == []
+
+    def test_echoed_config_reproduces_the_run(self, tmp_path):
+        # a sub-minute session bound must survive the echo, or the rerun bins
+        # its events at other times
+        model = write_model(tmp_path, {"kind": "feller", "kappa": 0.3, "theta": 0.5,
+                                       "sigma": 0.2, "lambda0": 0.5})
+        pipeline = tmp_path / "pipeline.json"
+        pipeline.write_text(json.dumps({"session_start": "10:00:30",
+                                        "session_end": "17:59:59.5",
+                                        "interval_seconds": 60}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["fit", "--data", DENSE, "--model", model, "--config", str(pipeline),
+                     "--out", str(first), "--seed", "4"]) == 0
+        echoed = json.loads((first / "estimate.json").read_text())["config"]
+        model2 = write_model(tmp_path, echoed["model_params"], name="echoed_model.json")
+        pipeline2 = tmp_path / "echoed_pipeline.json"
+        pipeline2.write_text(json.dumps(echoed["pipeline"]))
+        assert main(["fit", "--data", DENSE, "--model", model2, "--config", str(pipeline2),
+                     "--out", str(second), "--seed", "4"]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            a, b = (first / name).read_text(), (second / name).read_text()
+            if name.endswith(".json"):
+                a, b = json.loads(a), json.loads(b)
+                a_cfg, b_cfg = a.pop("config"), b.pop("config")
+                for key in ("model_params", "pipeline", "n_obs", "spec", "seed"):
+                    assert a_cfg[key] == b_cfg[key], key
+            else:
+                assert a.startswith("# config: ") and b.startswith("# config: ")
+                a, b = a.split("\n", 1)[1], b.split("\n", 1)[1]
+            assert a == b, name
 
     def test_frequency_pipeline(self, tmp_path):
         # a frequency series is fitted on its complement, which is the proxy
@@ -272,6 +304,20 @@ class TestExitCodes:
         p.write_text("{not json")
         code = main(["pmf", "--model", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_model_values_must_be_numbers(self, tmp_path, capsys):
+        for value in (True, "0.5", None):
+            model = write_model(tmp_path, {**UNIT_MODEL, "kappa": value})
+            out = tmp_path / "o"
+            assert main(["pmf", "--model", model, "--out", str(out)]) == 2, value
+            assert "kappa" in capsys.readouterr().err
+            assert not (out / "pmf.json").exists()
+        affine = {"kind": "affine", "dim": 1, "kappa": [[1.0]], "theta": [1.0],
+                  "sigma_mat": [[0.5]], "a": [0.0], "b": [[1.0]]}
+        for dim in (1.5, True):
+            model = write_model(tmp_path, {**affine, "dim": dim})
+            assert main(["pmf", "--model", model, "--out", str(tmp_path / "o")]) == 2, dim
+            assert "dim" in capsys.readouterr().err
 
     def test_wrong_model_kind(self, tmp_path):
         p = tmp_path / "model.json"

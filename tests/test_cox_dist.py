@@ -90,6 +90,11 @@ class TestPmf:
                 pmf(BASE, horizon)
         with pytest.raises(ValueError):
             pmf(BASE, 1.0, k_max=-1)
+        for k_max in (True, False, 2.5, 3.0, "3", np.float64(3.0)):
+            with pytest.raises(ValueError, match="k_max"):
+                pmf(BASE, 1.0, k_max)
+        for k_max in (np.int64(3), np.int32(3)):
+            assert pmf(BASE, 1.0, k_max).probs.tobytes() == pmf(BASE, 1.0, 3).probs.tobytes()
 
 
 class TestCountPmfContainer:

@@ -610,6 +610,21 @@ class TestPipelineConfig:
         assert cfg.interval_seconds == 30.0
         assert cfg.session_end == time(18, 0)
 
+    def test_written_form_reads_back(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        assert PipelineConfig().to_dict() == {
+            "session_start": "10:00", "session_end": "18:00", "interval_seconds": 60.0,
+            "M": 6000, "mapping": "no_arrival_log", "average_days": False,
+        }
+        for start, end in (("09:30", "16:00"), ("10:00:30", "17:59:59.500000")):
+            cfg = PipelineConfig(session_start=time.fromisoformat(start),
+                                 session_end=time.fromisoformat(end),
+                                 interval_seconds=30, M=600, average_days=True)
+            doc = cfg.to_dict()
+            assert (doc["session_start"], doc["session_end"]) == (start, end)
+            p.write_text(json.dumps(doc))
+            assert load_pipeline_config(p) == cfg
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"sessions": "10-18"}))

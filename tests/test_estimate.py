@@ -24,6 +24,7 @@ from coxaffine import (
     FilterOutput,
     FitOptions,
     LjungBoxReport,
+    PARAM_NAMES,
     RngStream,
     StateSpaceSpec,
     StdErrorReport,
@@ -222,6 +223,12 @@ class TestFit:
         doc = res.as_dict()
         assert "backend" not in doc
         assert set(doc) == {"estimates", "std_errors", "loglik", "converged", "ljung_box", "n_obs"}
+        # every parameter record is keyed and ordered by PARAM_NAMES
+        assert PARAM_NAMES == ("kappa", "theta", "sigma", "R")
+        assert doc["estimates"] == dict(zip(PARAM_NAMES, res.estimates))
+        assert res.estimates == (DESK.kappa, DESK.theta, DESK.sigma, 1e-3)
+        assert list(doc["std_errors"]) == [*PARAM_NAMES, "hessian_warning"]
+        assert list(doc["std_errors"].values())[:4] == [0.1, 0.01, 0.02, 1e-4]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -525,7 +532,10 @@ class TestReplication:
         assert summary.estimates.shape == (1, 4)
         assert summary.estimates[0, 1] == manual.params.theta
         assert summary.estimates[0, 3] == manual.R
+        assert summary.estimates[0].tolist() == list(manual.estimates)
         assert summary.converged[0] == manual.converged
+        assert summary.true_values == dict(zip(PARAM_NAMES, (*dataclasses.astuple(DESK)[:3], 1e-3)))
+        assert [row["parameter"] for row in summary.summary_rows()] == list(PARAM_NAMES)
 
     def test_jobs_do_not_change_results(self, monkeypatch):
         serial = replication_study(DESK, 4, 250, RngStream(902), spec=self.SPEC)
