@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
+from ._inputs import check_size, frozen, is_real
 from .jets import Jet
 
 __all__ = [
@@ -41,16 +42,6 @@ __all__ = [
 ]
 
 Scalar = Union[float, Jet]
-
-
-def _is_real(value) -> bool:
-    """An int or float, numpy scalars included, but not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _check_size(name: str, value, least: int = 1) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class ExplosionError(RuntimeError):
@@ -82,9 +73,9 @@ class FellerModel:
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma"):
             v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
+            if not (is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-        if not (_is_real(self.lambda0) and math.isfinite(self.lambda0) and self.lambda0 >= 0):
+        if not (is_real(self.lambda0) and math.isfinite(self.lambda0) and self.lambda0 >= 0):
             raise ValueError(f"lambda0 must be finite and >= 0, got {self.lambda0!r}")
 
     @property
@@ -111,12 +102,6 @@ class FellerModel:
         )
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class AffineModel:
     """d-dimensional affine diffusion with affine intensity loading.
@@ -136,26 +121,19 @@ class AffineModel:
     rho1: np.ndarray = None
 
     def __post_init__(self):
-        _check_size("dim", self.dim)
+        check_size("dim", self.dim)
         d = int(self.dim)
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "kappa", _readonly(self.kappa))
-        object.__setattr__(self, "theta", _readonly(self.theta))
-        object.__setattr__(self, "sigma_mat", _readonly(self.sigma_mat))
-        object.__setattr__(self, "a", _readonly(self.a))
-        object.__setattr__(self, "b", _readonly(self.b))
-        rho1 = self.rho1 if self.rho1 is not None else np.ones(d)
-        object.__setattr__(self, "rho1", _readonly(rho1))
+        if self.rho1 is None:
+            object.__setattr__(self, "rho1", np.ones(d))
+        if not is_real(self.rho0):
+            raise ValueError(f"rho0 must be a number, got {self.rho0!r}")
         object.__setattr__(self, "rho0", float(self.rho0))
-        shapes = {
-            "kappa": (self.kappa, (d, d)),
-            "theta": (self.theta, (d,)),
-            "sigma_mat": (self.sigma_mat, (d, d)),
-            "a": (self.a, (d,)),
-            "b": (self.b, (d, d)),
-            "rho1": (self.rho1, (d,)),
-        }
-        for name, (arr, want) in shapes.items():
+        shapes = {"kappa": (d, d), "theta": (d,), "sigma_mat": (d, d),
+                  "a": (d,), "b": (d, d), "rho1": (d,)}
+        for name, want in shapes.items():
+            arr = frozen(name, getattr(self, name), float)
+            object.__setattr__(self, name, arr)
             if arr.shape != want:
                 raise ValueError(
                     f"{name} has shape {arr.shape}, expected {want} for dim={d}"
@@ -587,7 +565,7 @@ def _model_value(key: str, value, kind: str):
     if kind == "np.ndarray" and isinstance(value, list):
         return [_model_value(key, v, kind) for v in value]
     whole = kind == "int"
-    if not _is_real(value) or (whole and value % 1 != 0):
+    if not is_real(value) or (whole and value % 1 != 0):
         what = "a whole number" if whole else "a number"
         raise ValueError(f"model file: {key} must be {what}, got {value!r}")
     return int(value) if whole else float(value)
@@ -595,16 +573,18 @@ def _model_value(key: str, value, kind: str):
 
 def model_from_dict(doc: dict):
     """The model that ``doc``, a model-file object, describes.  A field with a
-    default may be left out; any other value that is not a number raises
-    ValueError naming its key."""
+    default may be left out; any other missing key, or a value that is not
+    a number, raises ValueError naming its key."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     cls = _KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown model kind {kind!r} (expected 'feller' or 'affine')")
     args = {}
     for f in fields(cls):
-        if f.name in doc or f.default is MISSING:
+        if f.name in doc:
             args[f.name] = _model_value(f.name, doc[f.name], f.type)
+        elif f.default is MISSING:
+            raise ValueError(f"model file: missing key {f.name!r}")
     return cls(**args)
 
 

@@ -16,7 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .affine_core import AffineModel, FellerModel, _check_size, laplace_hazard
+from ._inputs import check_size
+from .affine_core import AffineModel, FellerModel, laplace_hazard
 from .jets import Jet
 
 __all__ = [
@@ -96,8 +97,6 @@ class CountPmf:
 
 def prob_no_arrival(model: Model, horizon: float, x0=None) -> float:
     """P(no arrivals in the window) = L(1)."""
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
     return float(laplace_hazard(model, 1.0, horizon, x0=x0))
 
 
@@ -108,9 +107,7 @@ def pmf(model: Model, horizon: float, k_max: int = 50, x0=None) -> CountPmf:
     derivatives at once.  ``k_max`` is an integer >= 0, numpy's included,
     and not a bool.
     """
-    _check_size("k_max", k_max, least=0)
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_size("k_max", k_max, least=0)
     mu = Jet.variable(1.0, k_max)
     L = laplace_hazard(model, mu, horizon, x0=x0)
     signs = np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)

@@ -23,6 +23,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._inputs import check_size, frozen, is_real
+
 __all__ = [
     "EventLog",
     "ObservationSeries",
@@ -63,26 +65,15 @@ def _time_to_ms(t: time) -> int:
     return ((t.hour * 60 + t.minute) * 60 + t.second) * 1000 + t.microsecond // 1000
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """``values`` as a read-only C-contiguous array of ``dtype``.
-
-    A writable array is copied, so the caller's stays writable; a read-only
-    one that already fits, as the loader and ``aggregate`` pass, is kept.
-    """
-    if isinstance(values, np.ndarray) and values.flags.writeable:
-        arr = np.array(values, dtype=dtype, order="C")
-    else:
-        arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _coerce_time(value) -> time:
-    if isinstance(value, time):
-        return value
-    if isinstance(value, str):
-        return time.fromisoformat(value)
-    raise TypeError(f"session bound must be datetime.time or 'HH:MM' string, got {value!r}")
+    """A session bound: a ``datetime.time`` or an ISO 'HH:MM[:SS[.fff]]'
+    string, on the log's clock.  A bound with a UTC offset raises ValueError."""
+    bound = time.fromisoformat(value) if isinstance(value, str) else value
+    if not isinstance(bound, time):
+        raise TypeError(f"session bound must be datetime.time or 'HH:MM' string, got {value!r}")
+    if bound.tzinfo is not None:
+        raise ValueError(f"session bound {value!r} has a UTC offset; give it on the log's clock")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,7 @@ class EventLog:
     rejected_lines: tuple = ()
 
     def __post_init__(self):
-        ts = _read_only(self.timestamps_ms, np.int64)
+        ts = frozen("timestamps_ms", self.timestamps_ms, np.int64)
         object.__setattr__(self, "timestamps_ms", ts)
         side = np.asarray(self.side)
         if side.size == 0:
@@ -113,7 +104,7 @@ class EventLog:
             raise ValueError(f"side must hold integer codes 0-2 indexing {_SIDES}")
         if side.ndim != 1 or side.size != ts.size:
             raise ValueError(f"side has {side.size} entries for {ts.size} timestamps")
-        object.__setattr__(self, "side", _read_only(side, np.int8))
+        object.__setattr__(self, "side", frozen("side", side, np.int8))
         if ts.size > 1 and np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be nondecreasing")
 
@@ -380,19 +371,18 @@ class ObservationSeries:
     flagged: tuple = ()
 
     def __post_init__(self):
-        starts = _read_only(self.interval_start_ms, np.int64)
-        counts = _read_only(self.counts, float)
+        starts = frozen("interval_start_ms", self.interval_start_ms, np.int64)
+        counts = frozen("counts", self.counts, float)
         if starts.shape != counts.shape:
             raise ValueError("interval_start_ms and counts must have equal length")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         if not self.interval_seconds > 0:
             raise ValueError(f"interval_seconds must be > 0, got {self.interval_seconds}")
-        if not self.M > 0:
-            raise ValueError(f"M must be > 0, got {self.M}")
+        check_size("M", self.M)
         obs = self.observable
         if obs is not None:
-            obs = _read_only(obs, float)
+            obs = frozen("observable", obs, float)
             if obs.shape != counts.shape:
                 raise ValueError("observable must have the same length as counts")
         for name, arr in (("interval_start_ms", starts), ("counts", counts), ("observable", obs)):
@@ -496,8 +486,7 @@ def to_observable(
     """
     if M is None:
         M = series.M
-    if not (isinstance(M, (int, np.integer)) and not isinstance(M, bool) and M > 0):
-        raise ValueError(f"M must be a positive integer, got {M!r}")
+    check_size("M", M)
     if mapping not in _OBS_MAPPINGS:
         raise ValueError(f"mapping must be one of {_OBS_MAPPINGS}, got {mapping!r}")
     counts = series.counts
@@ -541,8 +530,8 @@ class PipelineConfig:
 
 
 _CONFIG_RULES = {
-    "session_start": "an 'HH:MM' or 'HH:MM:SS' string",
-    "session_end": "an 'HH:MM' or 'HH:MM:SS' string",
+    "session_start": "an 'HH:MM' or 'HH:MM:SS' string without a UTC offset",
+    "session_end": "an 'HH:MM' or 'HH:MM:SS' string without a UTC offset",
     "interval_seconds": "a positive finite number",
     "M": "a positive integer",
     "mapping": f"one of {_OBS_MAPPINGS}",
@@ -552,12 +541,12 @@ _CONFIG_RULES = {
 
 def _config_value(key: str, value):
     """``value`` as the PipelineConfig field ``key``; ValueError if it is not one."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if key in ("session_start", "session_end") and isinstance(value, str):
-        return time.fromisoformat(value)
-    if key == "interval_seconds" and number and 0 < value < math.inf:
+        return _coerce_time(value)
+    if key == "interval_seconds" and is_real(value) and 0 < value < math.inf:
         return value
-    if key == "M" and number and isinstance(value, int) and value > 0:
+    if key == "M":
+        check_size(key, value)
         return value
     if key == "mapping" and value in _OBS_MAPPINGS:
         return value

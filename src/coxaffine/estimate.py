@@ -31,6 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._backend import filter_kernel
+from ._inputs import check_size, is_real
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream, _cir_chain
@@ -708,8 +709,7 @@ def simulate_observations(
     at the observation spacing, and is measured through the configured
     mapping with Gaussian noise of standard deviation R.
     """
-    if n_obs < 1:
-        raise ValueError(f"n_obs must be >= 1, got {n_obs}")
+    check_size("n_obs", n_obs)
     gen = rng.generator()
     if start == "stationary":
         g = stationary_intensity(model)
@@ -795,12 +795,11 @@ def replication_study(
     so the summary is bit-identical for any ``jobs``.  Individual replication
     failures are recorded and excluded; a ``series_len`` below 20 raises first.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if series_len < _MIN_OBS:
+    check_size("n_reps", n_reps)
+    if is_real(series_len) and series_len < _MIN_OBS:
         raise ValueError(f"series_len must be >= {_MIN_OBS} (the fit's minimum), got {series_len}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_size("series_len", series_len, least=_MIN_OBS)
+    check_size("jobs", jobs)
     with worker_map(min(jobs, n_reps)) as rep_map:
         payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
         raw = list(rep_map(_replicate_one, payloads))

@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .affine_core import AffineModel, FellerModel, _check_size
+from ._inputs import check_size, frozen
+from .affine_core import AffineModel, FellerModel
 from .cox_dist import CountPmf, stationary_count, stationary_intensity
 
 __all__ = [
@@ -100,7 +101,7 @@ class PathSample:
 
     ``arrivals`` is None until generated.  For multivariate models,
     ``states`` holds the factor paths and ``intensity`` the resulting scalar
-    intensity.  Every array but ``states`` is read-only; a writable one is copied.
+    intensity.  The other arrays hold numbers, read-only; a writable one is copied.
     """
 
     grid: np.ndarray
@@ -113,10 +114,7 @@ class PathSample:
         for name in ("grid", "intensity", "cum_hazard", "arrivals"):
             values = getattr(self, name)
             if values is not None:
-                copy = isinstance(values, np.ndarray) and values.flags.writeable
-                arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, frozen(name, values, float))
         grid, ch, arr = self.grid, self.cum_hazard, self.arrivals
         if not (grid.shape == self.intensity.shape == ch.shape):
             raise ValueError("grid, intensity and cum_hazard must have equal shapes")
@@ -250,7 +248,7 @@ def simulate_path(
         )
     if n_steps is None:
         n_steps = default_n_steps(model, horizon)
-    _check_size("n_steps", n_steps)
+    check_size("n_steps", n_steps)
     gen = _as_generator(rng if rng is not None else RngStream(0))
     h = horizon / n_steps
     grid = np.linspace(0.0, horizon, n_steps + 1)
@@ -392,10 +390,10 @@ def monte_carlo_pmf(
     in this process and are reduced in block order, so the result is
     bit-identical on any number of CPUs.
     """
-    _check_size("n_paths", n_paths)
-    _check_size("k_max", k_max, least=0)
+    check_size("n_paths", n_paths)
+    check_size("k_max", k_max, least=0)
     if n_steps is not None:
-        _check_size("n_steps", n_steps)
+        check_size("n_steps", n_steps)
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not isinstance(rng, RngStream):
@@ -464,7 +462,7 @@ def distance_to_stationary(
     """
     if start not in ("fixed", "stationary"):
         raise ValueError(f"start must be 'fixed' or 'stationary', got {start!r}")
-    _check_size("n_paths", n_paths)
+    check_size("n_paths", n_paths)
     if not isinstance(rng, RngStream):
         raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
     from scipy import stats
@@ -548,7 +546,7 @@ def euler_affine_path(
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    _check_size("n_steps", n_steps)
+    check_size("n_steps", n_steps)
     gen = _as_generator(rng)
     d = model.dim
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (d,)), dtype=float)

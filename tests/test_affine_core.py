@@ -412,7 +412,7 @@ class TestModelSerialization:
         assert m.kappa == 2.0 and type(m.kappa) is float and type(m.lambda0) is float
         a = model_from_dict({**self.AFFINE, "dim": 1.0, "kappa": [[2]]})
         assert a.dim == 1 and type(a.dim) is int and a.kappa[0, 0] == 2.0
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="missing key 'sigma'"):
             model_from_dict({k: v for k, v in self.FELLER.items() if k != "sigma"})
         assert model_from_dict({k: v for k, v in self.FELLER.items() if k != "lambda0"}).lambda0 == 0.0
 

@@ -348,6 +348,21 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert str(cfg) in err and key in err, err
 
+    def test_session_bound_with_an_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({"session_start": "10:00+02:00"}))
+        out = tmp_path / "o"
+        code = main(["fit", "--data", DENSE, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "session_start" in err and "UTC offset" in err, err
+        assert not (out / "estimate.json").exists()
+
+    def test_model_file_missing_a_key(self, tmp_path, capsys):
+        model = write_model(tmp_path, {"kind": "feller", "theta": 1, "sigma": 0.5})
+        assert main(["pmf", "--model", model, "--out", str(tmp_path / "o")]) == 2
+        assert "model file: missing key 'kappa'" in capsys.readouterr().err
+
     def test_sub_millisecond_interval(self, tmp_path, capsys):
         cfg = tmp_path / "pipeline.json"
         cfg.write_text(json.dumps({"interval_seconds": 0.0001}))

@@ -542,6 +542,14 @@ class TestAggregate:
         with pytest.raises(ValueError, match="longer than the session"):
             aggregate(log, interval=7200.0, sessions=(time(10, 0), time(11, 0)))
 
+    def test_session_bound_with_an_offset_rejected(self):
+        # session bounds are times on the log's clock; an offset would be dropped
+        log = EventLog(timestamps_ms=np.array([ms_at(3, 10, 30)], dtype=np.int64))
+        plus_two = timezone(timedelta(hours=2))
+        for sessions in ((time(10, 0, tzinfo=plus_two), time(18, 0)), ("10:00", "18:00+02:00")):
+            with pytest.raises(ValueError, match="UTC offset"):
+                aggregate(log, sessions=sessions)
+
     def test_interval_below_one_ms(self):
         # intervals are whole milliseconds; one that rounds to 0 ms is named
         log = EventLog(timestamps_ms=np.array([ms_at(3, 10, 0, 0.5)], dtype=np.int64))
@@ -624,6 +632,13 @@ class TestPipelineConfig:
             assert (doc["session_start"], doc["session_end"]) == (start, end)
             p.write_text(json.dumps(doc))
             assert load_pipeline_config(p) == cfg
+
+    def test_session_bound_with_an_offset_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        for key, value in (("session_start", "10:00+02:00"), ("session_end", "18:00Z")):
+            p.write_text(json.dumps({key: value}))
+            with pytest.raises(ValueError, match=f"{key} must be .* without a UTC offset"):
+                load_pipeline_config(p)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -3,9 +3,10 @@ one direction.
 
 The modules' ``__all__`` lists are the only lists of public names (the
 benchmark tracer reads them too), and the package exports their union.
-Intra-package imports sit at module level, where the import graph is
-acyclic: jets -> affine_core -> cox_dist -> simulate -> estimate -> cli,
-with data_io on its own.  scipy loads only inside the functions that use
+Intra-package imports sit at module level and follow the rule that README's
+Layout states: a module imports only ``_backend`` and the modules listed
+above it, ``jets``, ``_inputs`` and ``_backend`` import no package module,
+and ``data_io`` imports only ``_inputs``.  scipy loads only inside the functions that use
 it, so the package imports, and every CLI command runs, without loading any
 scipy module; ``fit`` and ``validate`` too, since the Ljung-Box p-value is
 computed in the package.  Importing the CLI starts no process,
@@ -18,6 +19,7 @@ import ast
 import graphlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ from coxaffine import affine_core, cox_dist, data_io, estimate, simulate
 
 PACKAGE = Path(coxaffine.__file__).resolve().parent
 MODULES = {p.stem: p for p in sorted(PACKAGE.glob("*.py"))}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_the_union_of_module_lists():
@@ -83,6 +86,24 @@ def test_package_imports_in_one_direction():
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def _layout_order():
+    """The package modules in the order README's Layout lists them."""
+    block = README.read_text().split("## Layout", 1)[1].split("```")[1]
+    return re.findall(r"^  (\w+)\.py", block, re.MULTILINE)
+
+
+def test_imports_follow_the_readme_layout():
+    graph, _ = _import_graph()
+    order = _layout_order()
+    assert sorted(order) == sorted(set(MODULES) - {"__init__"}), "README Layout lists other modules"
+    for i, name in enumerate(order):
+        extra = graph[name] - {"_backend", *order[:i]}
+        assert not extra, f"{name} imports {sorted(extra)}, not listed above it"
+    for name in ("jets", "_inputs", "_backend"):
+        assert graph[name] == set(), f"{name} imports {sorted(graph[name])}"
+    assert graph["data_io"] == {"_inputs"}, graph["data_io"]
 
 
 _PROBE = """
