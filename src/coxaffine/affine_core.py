@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from ._inputs import check_size, frozen, is_real
+from ._inputs import check_real, check_size, frozen, is_real
 from .jets import Jet
 
 __all__ = [
@@ -72,11 +72,10 @@ class FellerModel:
 
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma"):
-            v = getattr(self, name)
-            if not (is_real(v) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-        if not (is_real(self.lambda0) and math.isfinite(self.lambda0) and self.lambda0 >= 0):
-            raise ValueError(f"lambda0 must be finite and >= 0, got {self.lambda0!r}")
+            check_real(name, getattr(self, name), above=0)
+        check_real("lambda0", self.lambda0, least=0)
+        for f in fields(self):  # a numpy float32 would carry its precision into the filter
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @property
     def feller_condition(self) -> bool:
@@ -126,8 +125,7 @@ class AffineModel:
         object.__setattr__(self, "dim", d)
         if self.rho1 is None:
             object.__setattr__(self, "rho1", np.ones(d))
-        if not is_real(self.rho0):
-            raise ValueError(f"rho0 must be a number, got {self.rho0!r}")
+        check_real("rho0", self.rho0)
         object.__setattr__(self, "rho0", float(self.rho0))
         shapes = {"kappa": (d, d), "theta": (d,), "sigma_mat": (d, d),
                   "a": (d,), "b": (d, d), "rho1": (d,)}
@@ -189,11 +187,8 @@ def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) ->
     has no cancellation there.  Just before that switch the log1p form
     carries about 1e-10 relative error in alpha.
     """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    mu0 = mu.value if isinstance(mu, Jet) else float(mu)
-    if not math.isfinite(mu0) or mu0 < 0:
-        raise ValueError(f"mu must have nonnegative finite value, got {mu0}")
+    check_real("horizon", horizon, least=0)
+    check_real("mu", mu.value if isinstance(mu, Jet) else mu, least=0)
     kappa, theta, sigma = model.kappa, model.theta, model.sigma
 
     two_s2_mu = (2.0 * sigma * sigma) * mu
@@ -315,18 +310,15 @@ def solve_transform_ode(
     at a fixed reference mu, identical in every run, and controls error on
     the order-0 and pacer columns together.
     """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    check_real("horizon", horizon, least=0)
+    check_real("tol", tol, above=0)
+    jet = isinstance(mu, Jet)
+    check_real("mu", mu.value if jet else mu)
     if isinstance(model, FellerModel):
         model = model.as_affine()
     d = model.dim
 
-    jet = isinstance(mu, Jet)
     mu_row = mu.coeffs if jet else np.array([float(mu)])
-    if not math.isfinite(mu_row[0]):
-        raise ValueError("mu must be finite")
 
     K1 = mu_row.size
     # column weights: _combine(M[:, :, None], X) is the matrix product M^T X

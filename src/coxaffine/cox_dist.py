@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from ._inputs import check_size
+from ._inputs import check_real, check_size
 from .affine_core import AffineModel, FellerModel, laplace_hazard
 from .jets import Jet
 
@@ -39,7 +39,8 @@ Model = Union[FellerModel, AffineModel]
 
 
 class PrecisionError(ArithmeticError):
-    """Jet evaluation lost enough precision to produce negative probabilities."""
+    """Jet evaluation lost enough precision to produce negative or non-finite
+    probabilities."""
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,12 @@ class CountPmf:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d array")
-        if np.min(p) < -1e-10:
-            raise PrecisionError(
-                f"pmf coefficient p_{int(np.argmin(p))} = {np.min(p):.3e} is "
-                "negative beyond roundoff; reduce k_max or the horizon"
-            )
+        ok = np.isfinite(p) & (p >= -1e-10)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            what = "negative beyond roundoff" if np.isfinite(p[i]) else "not finite"
+            raise PrecisionError(f"pmf coefficient p_{i} = {p[i]:.3e} is {what}; "
+                                 "reduce k_max or the horizon")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -118,8 +120,7 @@ def pmf(model: Model, horizon: float, k_max: int = 50, x0=None) -> CountPmf:
 
 def hazard_moments(model: Model, t: float, x0=None) -> tuple:
     """(E[Lambda], Var(Lambda)) from the order-2 jet of L at mu = 0."""
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_real("t", t, least=0)
     mu = Jet.variable(0.0, 2)
     L = laplace_hazard(model, mu, t, x0=x0)
     c1, c2 = float(L.coeffs[1]), float(L.coeffs[2])
@@ -130,8 +131,7 @@ def hazard_moments(model: Model, t: float, x0=None) -> tuple:
 
 def mean_count(model: FellerModel, t: float) -> float:
     """E[N_t] = theta t + (1 - e^{-kappa t})/kappa (lambda0 - theta)."""
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_real("t", t, least=0)
     k = model.kappa
     return model.theta * t + (-math.expm1(-k * t) / k) * (model.lambda0 - model.theta)
 
@@ -156,8 +156,8 @@ class GammaLaw:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError("shape and rate must be positive")
+        check_real("shape", self.shape, above=0)
+        check_real("rate", self.rate, above=0)
 
     @property
     def mean(self) -> float:
@@ -186,8 +186,7 @@ class NegBinLaw:
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if not self.size > 0:
-            raise ValueError(f"size must be positive, got {self.size}")
+        check_real("size", self.size, above=0)
 
     @property
     def mean(self) -> float:
@@ -226,8 +225,7 @@ def stationary_count(model: FellerModel, window: float) -> NegBinLaw:
     draw across the window, which is exact in the slowly-varying regime
     (kappa * window small) and accurate to O(kappa * window) otherwise.
     """
-    if not window > 0:
-        raise ValueError(f"window must be > 0, got {window}")
+    check_real("window", window, above=0)
     g = stationary_intensity(model)
     return NegBinLaw(size=g.shape, p=g.rate / (g.rate + window))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, time, timedelta, timezone
@@ -23,7 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._inputs import check_size, frozen, is_real
+from ._inputs import check_real, check_size, frozen
 
 __all__ = [
     "EventLog",
@@ -377,8 +376,7 @@ class ObservationSeries:
             raise ValueError("interval_start_ms and counts must have equal length")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if not self.interval_seconds > 0:
-            raise ValueError(f"interval_seconds must be > 0, got {self.interval_seconds}")
+        check_real("interval_seconds", self.interval_seconds, above=0)
         check_size("M", self.M)
         obs = self.observable
         if obs is not None:
@@ -414,8 +412,7 @@ def aggregate(
     chronological order.  Events outside sessions are counted in
     ``n_dropped``.
     """
-    if not interval > 0:
-        raise ValueError(f"interval must be > 0, got {interval}")
+    check_real("interval", interval, above=0)
     start, end = (_coerce_time(s) for s in sessions)
     start_ms, end_ms = _time_to_ms(start), _time_to_ms(end)
     if not start_ms < end_ms:
@@ -543,16 +540,14 @@ def _config_value(key: str, value):
     """``value`` as the PipelineConfig field ``key``; ValueError if it is not one."""
     if key in ("session_start", "session_end") and isinstance(value, str):
         return _coerce_time(value)
-    if key == "interval_seconds" and is_real(value) and 0 < value < math.inf:
-        return value
-    if key == "M":
+    if key == "interval_seconds":
+        check_real(key, value, above=0)
+    elif key == "M":
         check_size(key, value)
-        return value
-    if key == "mapping" and value in _OBS_MAPPINGS:
-        return value
-    if key == "average_days" and isinstance(value, bool):
-        return value
-    raise ValueError(key)
+    elif not (key == "mapping" and value in _OBS_MAPPINGS
+              or key == "average_days" and isinstance(value, bool)):
+        raise ValueError(key)
+    return value
 
 
 def load_pipeline_config(path) -> PipelineConfig:

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._backend import filter_kernel
-from ._inputs import check_size, is_real
+from ._inputs import check_real, check_size, is_real
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream, _cir_chain
@@ -101,10 +101,8 @@ class StateSpaceSpec:
     mapping: str = "log_prob_no_arrival"
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if not self.window > 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
+        check_real("delta", self.delta, above=0)
+        check_real("window", self.window, above=0)
         if self.mapping not in _MAPPINGS:
             raise ValueError(f"mapping must be one of {_MAPPINGS}, got {self.mapping!r}")
 
@@ -144,12 +142,12 @@ class LjungBoxReport:
 
 @dataclass(frozen=True)
 class StdErrorReport:
-    """Delta-method standard errors on the natural parameter scale."""
+    """Delta-method standard errors on the natural parameter scale, or None."""
 
-    kappa: float
-    theta: float
-    sigma: float
-    R: float
+    kappa: Optional[float]
+    theta: Optional[float]
+    sigma: Optional[float]
+    R: Optional[float]
     hessian_warning: bool = False
 
     def as_dict(self) -> dict:
@@ -281,12 +279,11 @@ def kalman_filter(
     Raises ValueError on non-finite data (with the offending index) and
     ArithmeticError if an innovation variance fails to be positive.
     """
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
+    check_real("R", R, least=0)
     y = _observable(obs)
     if y.size == 0:
         raise ValueError("observation series is empty")
-    coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, R, spec)
+    coeffs = _filter_coeffs(params.kappa, params.theta, params.sigma, float(R), spec)
     steps = []
     ll, err = filter_kernel(y.tolist(), *coeffs, steps)
     if err >= 0:
@@ -491,6 +488,7 @@ def fit(
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
     """
+    check_real("R_init", R_init, least=0)
     y = _observable(obs)
     if y.size < _MIN_OBS:
         raise ValueError(f"need at least {_MIN_OBS} observations, got {y.size}")
@@ -560,7 +558,8 @@ def std_errors(
     The Hessian is computed by central differences in log-parameter space,
     with step 1e-4 * max(1, |x|) per coordinate, and mapped to the natural
     scale by the delta method.  A Hessian that is not positive definite is
-    flagged and handled with a pseudo-inverse rather than treated as fatal.
+    flagged and handled with a pseudo-inverse rather than treated as fatal,
+    and a parameter left without a finite positive variance gets SE None.
     """
     y = _observable(obs)
     x = np.log([params_hat.kappa, params_hat.theta, params_hat.sigma, max(R_hat, 1e-300)])
@@ -597,13 +596,11 @@ def std_errors(
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(A)
         warning = True
-    var_log = np.diag(cov).copy()
-    if np.any(var_log < 0):
-        warning = True
-        var_log = np.clip(var_log, 0.0, None)
-    se_log = np.sqrt(var_log)
-    nat = np.exp(x) * se_log  # delta method: d(exp x)/dx = exp x
-    return StdErrorReport(**dict(zip(PARAM_NAMES, nat.tolist())), hessian_warning=warning)
+    var_log = np.diag(cov)
+    known = np.isfinite(var_log) & (var_log > 0)
+    nat = np.exp(x) * np.sqrt(np.where(known, var_log, 0.0))  # delta method: d(exp x)/dx = exp x
+    se = {p: v if ok else None for p, v, ok in zip(PARAM_NAMES, nat.tolist(), known.tolist())}
+    return StdErrorReport(**se, hessian_warning=warning or not known.all())
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -709,6 +706,7 @@ def simulate_observations(
     at the observation spacing, and is measured through the configured
     mapping with Gaussian noise of standard deviation R.
     """
+    check_real("R", R, least=0)
     check_size("n_obs", n_obs)
     gen = rng.generator()
     if start == "stationary":

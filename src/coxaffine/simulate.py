@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._inputs import check_size, frozen
+from ._inputs import check_real, check_size, frozen
 from .affine_core import AffineModel, FellerModel
 from .cox_dist import CountPmf, stationary_count, stationary_intensity
 
@@ -167,8 +167,7 @@ def sample_cir_transition(model: FellerModel, lambda_s, dt: float, rng):
     Python floats, without the array round trip, so a path advanced one
     scalar at a time gets the bits and the draws of the array route.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    check_real("dt", dt, above=0)
     e, c, dfree = _transition_constants(model, dt)
     if isinstance(lambda_s, float) and lambda_s >= 0.0 and c > 0.0 and dfree <= 1e12:
         noncent = lambda_s * (e / c)
@@ -240,8 +239,7 @@ def simulate_path(
     grid; only the hazard integral carries the O((horizon/n_steps)^2)
     trapezoid bias.
     """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_real("horizon", horizon, least=0)
     if horizon == 0:
         return PathSample(
             grid=np.zeros(1), intensity=np.array([model.lambda0]), cum_hazard=np.zeros(1)
@@ -394,8 +392,7 @@ def monte_carlo_pmf(
     check_size("k_max", k_max, least=0)
     if n_steps is not None:
         check_size("n_steps", n_steps)
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_real("horizon", horizon, least=0)
     if not isinstance(rng, RngStream):
         raise TypeError("monte_carlo_pmf requires an RngStream for reproducibility")
     if horizon == 0:
@@ -467,6 +464,8 @@ def distance_to_stationary(
         raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
     from scipy import stats
 
+    for j, t in enumerate(t_grid):
+        check_real(f"t_grid[{j}]", t, least=0)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     nb = stationary_count(model, window)
     # truncation point with negligible stationary tail
@@ -544,8 +543,7 @@ def euler_affine_path(
     volatilities are truncated at zero.  Intended for models without an
     exact transition.
     """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_real("horizon", horizon, least=0)
     check_size("n_steps", n_steps)
     gen = _as_generator(rng)
     d = model.dim

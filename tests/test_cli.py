@@ -16,6 +16,7 @@ from coxaffine.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 DENSE = os.path.join(FIXTURES, "events_dense.csv")
+SPARSE = os.path.join(FIXTURES, "events_sparse_535.csv")
 
 DESK_MODEL = {"kind": "feller", "kappa": 0.2, "theta": 0.04, "sigma": 0.05, "lambda0": 0.04}
 UNIT_MODEL = {"kind": "feller", "kappa": 1.0, "theta": 1.0, "sigma": 0.5, "lambda0": 1.0}
@@ -224,6 +225,24 @@ class TestFit:
         for name in freq:
             if name.endswith(".csv"):  # equal bodies below the config line
                 assert freq[name].split("\n", 1)[1] == proxy[name].split("\n", 1)[1], name
+
+
+    def test_unidentified_parameters_get_no_standard_error(self, tmp_path):
+        # the sparse fixture does not pin down kappa and sigma: at seed 1 the
+        # Hessian leaves them no positive variance, and their SE is left
+        # empty, not written as 0.0; at seed 3 every variance is positive
+        known = {1: {"theta", "R"}, 3: {"kappa", "theta", "sigma", "R"}}
+        for seed, names in known.items():
+            out = tmp_path / f"seed{seed}"
+            assert main(["fit", "--data", SPARSE, "--out", str(out), "--seed", str(seed)]) == 0
+            se = json.loads((out / "estimate.json").read_text())["std_errors"]
+            assert se["hessian_warning"] is (seed == 1)
+            rows = list(csv.reader((out / "params.csv").read_text().splitlines()[2:]))
+            for (name, _, written), value in zip(rows, (se[p] for p in estimate.PARAM_NAMES)):
+                if name in names:
+                    assert value > 0 and float(written) == value, (seed, name)
+                else:
+                    assert value is None and written == "", (seed, name)
 
 
 class TestValidate:

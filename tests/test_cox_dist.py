@@ -6,6 +6,7 @@ the oracle share no transform or jet machinery.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestCountPmfContainer:
     def test_negative_probability_rejected(self):
         with pytest.raises(PrecisionError, match="negative"):
             CountPmf(probs=np.array([0.5, -0.1, 0.3]), horizon=1.0, tail_bound=0.0)
+
+    def test_non_finite_probability_rejected_naming_its_index(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(PrecisionError, match="p_1 .* not finite"):
+                CountPmf(probs=np.array([0.5, bad, 0.3]), horizon=1.0, tail_bound=0.0)
+        # a pmf.json that holds NaN is read back as such a pmf
+        doc = json.loads(json.dumps({"horizon": 1.0, "probs": [math.nan, 0.5], "tail_bound": 0.0}))
+        with pytest.raises(PrecisionError, match="p_0 .* not finite"):
+            CountPmf.from_dict(doc)
 
     def test_excess_mass_rejected(self):
         with pytest.raises(PrecisionError, match="exceeds"):
