@@ -366,12 +366,22 @@ def laplace_hazard(
 
     Dispatches to the closed form for one-factor square-root models and to
     the Riccati integrator otherwise.  ``x0`` defaults to ``model.lambda0``
-    (square-root case) or to the long-run mean ``theta`` (general case).
+    (square-root case) or to the long-run mean ``theta`` (general case).  A
+    given ``x0`` must be a finite number >= 0 for a square-root model and a
+    vector of ``dim`` finite numbers otherwise, else ValueError.
     """
     if isinstance(model, FellerModel):
+        if x0 is not None:
+            check_real("x0", x0, least=0)
         tc = cir_transform_closed_form(model, mu, horizon)
         start = model.lambda0
     else:
+        if x0 is not None:
+            x0 = frozen("x0", x0, float)
+            if x0.shape != (model.dim,) or not np.isfinite(x0).all():
+                raise ValueError(
+                    f"x0 must be a vector of {model.dim} finite numbers, got {x0.tolist()}"
+                )
         tc = solve_transform_ode(model, mu, horizon)
         start = model.theta
     return tc.laplace(start if x0 is None else x0)

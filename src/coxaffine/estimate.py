@@ -71,6 +71,7 @@ _MIN_OBS = 20
 _PERTURB_SCALE = 0.7  # restart offsets in log-parameters, times a standard normal
 _XATOL = 1e-8  # stopping tolerances of _nelder_mead, the in-house simplex (stable tie order)
 _FATOL = 1e-10
+_LOOSE_FRTOL = 1e-6  # a restart search also stops at this simplex spread, relative to max(1, |f|)
 _REL_STEP = 1e-4  # Hessian step relative to max(1, |x|)
 _LB_ALPHA = 0.05  # Ljung-Box level
 _EXP_NORMAL = 700.0  # e^{-h} is a normal float, good to an ulp, for h below this
@@ -187,6 +188,10 @@ class EstimationResult:
 class FitOptions:
     n_restarts: int = 5
     maxiter: int = 2000
+
+    def __post_init__(self):
+        check_size("n_restarts", self.n_restarts, least=0)
+        check_size("maxiter", self.maxiter)
 
 
 def observation_model(series) -> tuple:
@@ -348,7 +353,9 @@ class _Search(NamedTuple):
     simplex: list  # the final vertices, best first
 
 
-def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
+def _nelder_mead(
+    f, x0: Sequence[float], maxiter: int, maxfev: int, frtol: Optional[float] = None
+) -> _Search:
     """Minimize ``f`` over Python lists of floats with a Nelder-Mead simplex.
 
     This is the unbounded, non-adaptive recursion of scipy's Nelder-Mead
@@ -357,6 +364,11 @@ def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
     it is 0), its row-by-row centroid, its ``_XATOL``/``_FATOL`` test and its
     ``maxiter``/``maxfev`` accounting, an exhausted budget stopping the search
     even in the middle of a shrink.  Vertices are ordered by (value, index).
+
+    With ``frtol`` the search also stops, at the same test point, once the
+    simplex's values spread by at most ``frtol * max(1, |best|)``: a loose
+    stop on the objective alone, which ``fit`` uses for its restarts.
+    Without it the search is scipy's.
     """
     n = len(x0)
     sim = [list(x0)]
@@ -395,6 +407,8 @@ def _nelder_mead(f, x0: Sequence[float], maxiter: int, maxfev: int) -> _Search:
         if all(abs(a - b) <= _XATOL for v in sim[1:] for a, b in zip(v, best)) and all(
             abs(fbest - fv) <= _FATOL for fv in fsim[1:]
         ):
+            break
+        if frtol is not None and fsim[-1] - fbest <= frtol * max(1.0, abs(fbest)):
             break
         try:
             xbar = list(best)
@@ -449,13 +463,13 @@ def worker_map(workers: int) -> Iterator[Callable]:
 
 
 def _search_from(task) -> _Search:
-    """One restart of ``fit``: the simplex search from the point ``x``.
+    """One restart of ``fit``: the loose simplex search from the point ``x``.
 
     The objective is built here, in the process that runs the search,
     because its closure cannot be pickled.
     """
     y, spec, x, maxiter = task
-    return _nelder_mead(_objective(y, spec), x, maxiter, 4 * maxiter)
+    return _nelder_mead(_objective(y, spec), x, maxiter, 4 * maxiter, _LOOSE_FRTOL)
 
 
 def fit(
@@ -471,19 +485,25 @@ def fit(
 
     Optimization runs in log-parameter space (so estimates stay positive)
     with ``_nelder_mead``, the package's own derivative-free simplex search,
-    and ``options.n_restarts`` random restarts around the initial point; the
-    flooring in the filter makes the objective only piecewise smooth, which
-    rules out gradient methods.  The search orders tied vertex values by
-    vertex index, so the fitted bits do not depend on the machine's sort.
+    from the initial point and ``options.n_restarts`` random restarts around
+    it; the flooring in the filter makes the objective only piecewise
+    smooth, which rules out gradient methods.  The search orders tied vertex
+    values by vertex index, so the fitted bits do not depend on the
+    machine's sort.
 
     All starting points are drawn first, from one generator of ``rng``, and
-    each search runs as ``_search_from((y, spec, x, maxiter))``.
+    each search runs as ``_search_from((y, spec, x, maxiter))``, which stops
+    loosely, once the simplex's values agree to 1e-6 relative.
     ``restart_map(_search_from, tasks)`` runs them: it must return the
     results in task order, as the builtin ``map`` (the default, one search
-    after another) and the map of ``worker_map`` do.  A pool's
-    ``map`` pickles the tasks and the results and runs the searches in its
-    worker processes; the best search is picked in restart order either way,
-    so the result is bit-identical for any map.
+    after another) and the map of ``worker_map`` do.  A pool's ``map``
+    pickles the tasks and the results and runs the searches in its worker
+    processes.  The best finite search is picked in restart order, the first
+    of a tie winning, so the result is bit-identical for any map.  One strict
+    search from a fresh simplex at the winner, in this process, then polishes
+    it: the winner is that simplex's first vertex, so the polish can only
+    improve on it, and it confirms that the loose search had not stalled.
+    ``converged`` is the polish's.
 
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
@@ -508,6 +528,7 @@ def fit(
             best = res
     if best is None:
         raise EstimationError("no optimizer run produced a finite quasi log-likelihood")
+    best = _nelder_mead(_objective(y, spec), best.x, options.maxiter, 4 * options.maxiter)
 
     kappa, theta, sigma, R = np.exp(best.x)
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)

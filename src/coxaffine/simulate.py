@@ -223,6 +223,7 @@ def default_n_steps(model: FellerModel, horizon: float) -> int:
     errors below the exact value; with 800 steps every k <= 20 is within
     1.4.
     """
+    check_real("horizon", horizon, least=0)
     dt_max = min(0.01, 1.0 / (10.0 * model.kappa))
     return max(1, int(math.ceil(horizon / dt_max)))
 

@@ -10,8 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from coxaffine import RngStream, default_n_steps, load_model, simulate_arrivals, simulate_path
-from coxaffine import estimate
+from coxaffine import (
+    FellerModel,
+    RngStream,
+    default_n_steps,
+    load_model,
+    simulate_arrivals,
+    simulate_path,
+)
+from coxaffine import data_io, estimate
 from coxaffine.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -228,21 +235,49 @@ class TestFit:
 
 
     def test_unidentified_parameters_get_no_standard_error(self, tmp_path):
-        # the sparse fixture does not pin down kappa and sigma: at seed 1 the
-        # Hessian leaves them no positive variance, and their SE is left
-        # empty, not written as 0.0; at seed 3 every variance is positive
-        known = {1: {"theta", "R"}, 3: {"kappa", "theta", "sigma", "R"}}
-        for seed, names in known.items():
+        # the sparse fixture does not pin down kappa and sigma, so whether the
+        # Hessian leaves them a positive variance depends on the seed: each SE
+        # is either positive and written, or None, left empty and flagged
+        for seed in (1, 3):
             out = tmp_path / f"seed{seed}"
             assert main(["fit", "--data", SPARSE, "--out", str(out), "--seed", str(seed)]) == 0
             se = json.loads((out / "estimate.json").read_text())["std_errors"]
-            assert se["hessian_warning"] is (seed == 1)
             rows = list(csv.reader((out / "params.csv").read_text().splitlines()[2:]))
             for (name, _, written), value in zip(rows, (se[p] for p in estimate.PARAM_NAMES)):
-                if name in names:
-                    assert value > 0 and float(written) == value, (seed, name)
+                if value is None:
+                    assert written == "" and se["hessian_warning"] is True, (seed, name)
                 else:
-                    assert value is None and written == "", (seed, name)
+                    assert value > 0 and float(written) == value, (seed, name)
+
+    def test_no_positive_variance_at_an_unidentified_optimum(self):
+        # an optimum of the sparse fixture (seed 1 under the strict search
+        # from all six starts) where the Hessian leaves kappa and sigma no
+        # positive variance
+        pipeline = data_io.PipelineConfig()
+        series = data_io.aggregate(data_io.load_events(SPARSE), interval=pipeline.interval_seconds,
+                                   sessions=pipeline.sessions)
+        y, spec = estimate.observation_model(
+            data_io.to_observable(series, M=pipeline.M, mapping=pipeline.mapping))
+        theta = float.fromhex("0x1.9f1144b0bbda2p-5")
+        optimum = FellerModel(kappa=float.fromhex("0x1.8a49295c92b51p+0"), theta=theta,
+                              sigma=float.fromhex("0x1.d50acb1dd6e47p-17"), lambda0=theta)
+        se = estimate.std_errors(optimum, float.fromhex("0x1.3e7da310f2b1ep-15"), y, spec)
+        assert se.kappa is None and se.sigma is None and se.hessian_warning
+        assert se.theta > 0 and se.R > 0
+
+    def test_a_missing_standard_error_is_written_empty_and_null(self, tmp_path, monkeypatch):
+        report = estimate.StdErrorReport(kappa=None, theta=0.01, sigma=None, R=1e-4,
+                                         hessian_warning=True)
+        monkeypatch.setattr(estimate, "std_errors", lambda *args: report)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = tmp_path / "run"
+        assert main(["fit", "--data", DENSE, "--out", str(out), "--seed", "1"]) == 0
+        se = json.loads((out / "estimate.json").read_text())["std_errors"]
+        assert se == {"kappa": None, "theta": 0.01, "sigma": None, "R": 1e-4,
+                      "hessian_warning": True}
+        rows = list(csv.reader((out / "params.csv").read_text().splitlines()[2:]))
+        assert [(name, written) for name, _, written in rows] == [
+            ("kappa", ""), ("theta", "0.01"), ("sigma", ""), ("R", "0.0001")]
 
 
 class TestValidate:

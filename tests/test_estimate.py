@@ -37,7 +37,15 @@ from coxaffine import (
     std_errors,
 )
 from coxaffine import data_io, estimate
-from coxaffine.estimate import _FATOL, _PENALTY, _XATOL, _filter_coeffs, _nelder_mead, _objective
+from coxaffine.estimate import (
+    _FATOL,
+    _LOOSE_FRTOL,
+    _PENALTY,
+    _XATOL,
+    _filter_coeffs,
+    _nelder_mead,
+    _objective,
+)
 
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
 
@@ -267,6 +275,58 @@ class TestFit:
         assert [x for _, _, x, _ in tasks] == expected
         assert all(t[0] is y and t[1] == spec and t[3] == 20 for t in tasks)
 
+    def test_restarts_stop_loosely_and_the_winner_is_polished_once(self):
+        y, spec = self.make_series(100)
+        searches = []
+
+        def recording_map(func, items):
+            searches.extend(map(func, items))
+            return searches
+
+        res = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=recording_map)
+        winner = min(searches, key=lambda s: s.fun)  # the first of a tie, as fit picks
+        polish = _nelder_mead(_objective(y, spec), winner.x, 2000, 8000)
+        assert polish.fun <= winner.fun  # the winner is the polish's first vertex
+        assert list(res.estimates) == np.exp(polish.x).tolist()
+        assert res.loglik == -polish.fun
+        assert res.converged == polish.success
+
+    def test_a_tie_goes_to_the_earlier_restart(self, monkeypatch):
+        y, spec = self.make_series(100)
+        # each search ends where it starts: restart 0 scores the penalty,
+        # 2 and 4 tie for the best value
+        values = (_PENALTY, 5.0, 3.0, 4.0, 3.0, 3.5)
+        starts = []
+
+        def scripted_map(func, tasks):
+            starts.extend(t[2] for t in tasks)
+            return [estimate._Search(x, v, 1, 1, True, [x]) for x, v in zip(starts, values)]
+
+        polished_from = []
+
+        def recorded(f, x0, *args):
+            polished_from.append(x0)
+            return _nelder_mead(f, x0, *args)
+
+        monkeypatch.setattr(estimate, "_nelder_mead", recorded)
+        fit(y, spec, init=DESK, rng=RngStream(606), restart_map=scripted_map)
+        assert polished_from == [starts[2]]
+
+    def test_a_fit_makes_few_kernel_calls(self, monkeypatch):
+        # six loose searches and one strict polish; six strict searches made
+        # 4,137 calls on this series
+        calls = []
+        kernel = estimate.filter_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "filter_kernel", counted)
+        y, spec = self.make_series(100)
+        fit(y, spec, init=DESK, rng=RngStream(606))
+        assert len(calls) < 2000
+
     def test_std_errors_direct_call(self):
         y, spec = self.make_series(800)
         rep = std_errors(DESK, 1e-3, y, spec)
@@ -351,6 +411,19 @@ class TestNelderMead:
         # of the 3 shrink evaluations before the budget runs out
         res = self.compare(f, x0, 2000, 4 + 2 + done)
         assert res.nfev == 6 + done and res.nit == 1 and not res.success
+
+    def test_the_loose_stop_ends_at_the_spread_of_its_tolerance(self):
+        x0 = [-1.2, 1.0, 0.0, 0.8]
+        loose = _nelder_mead(self.quadratic, x0, 2000, 8000, _LOOSE_FRTOL)
+        spread = lambda s: max(map(self.quadratic, s.simplex)) - min(map(self.quadratic, s.simplex))
+        # cut at the loose search's iteration count, the strict search holds
+        # the same simplex: the loose one stopped there, not an iteration sooner
+        assert _nelder_mead(self.quadratic, x0, loose.nit, 8000).simplex == loose.simplex
+        assert spread(loose) <= _LOOSE_FRTOL * max(1.0, abs(loose.fun))
+        assert spread(_nelder_mead(self.quadratic, x0, loose.nit - 1, 8000)) > _LOOSE_FRTOL
+        strict = _nelder_mead(self.quadratic, x0, 2000, 8000)
+        assert strict.success and strict.nit > loose.nit and loose.success
+        assert strict.fun < loose.fun
 
     def test_tied_values_keep_index_order(self):
         # initial values [0, P, P, P, 0]: numpy's argsort here orders them

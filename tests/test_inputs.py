@@ -10,7 +10,9 @@ takes arrays or sizes follows them alike:
   or a value below its least raises ValueError naming the argument;
 * a horizon, rate, step or tolerance is a finite number, numpy's included,
   and not a bool or a string: NaN, an infinity, a bool, a numeric string or a
-  value past its bound (>= 0 or > 0) raises ValueError naming the argument.
+  value past its bound (>= 0 or > 0) raises ValueError naming the argument;
+* a start state ``x0`` is such a number, >= 0, for a square-root model and
+  an array field of ``dim`` finite entries for an affine one.
 """
 
 import math
@@ -32,6 +34,7 @@ from coxaffine import (
     StateSpaceSpec,
     aggregate,
     cir_transform_closed_form,
+    default_n_steps,
     distance_to_stationary,
     euler_affine_path,
     fit,
@@ -40,6 +43,7 @@ from coxaffine import (
     mean_count,
     monte_carlo_pmf,
     pmf,
+    prob_no_arrival,
     replication_study,
     sample_cir_transition,
     simulate_observations,
@@ -177,6 +181,20 @@ def test_affine_rho0_is_a_number():
     assert type(_affine(1, rho0=1).rho0) is float
 
 
+def test_an_affine_start_state_is_a_vector_of_finite_numbers():
+    two = AffineModel(dim=2, kappa=np.eye(2), theta=[1.0, 0.5], sigma_mat=0.3 * np.eye(2),
+                      a=[0.0, 0.0], b=np.eye(2))
+    for bad in ([1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]], [1.0, math.nan], [math.inf, 0.5]):
+        with pytest.raises(ValueError, match="^x0 must be a vector of 2 finite numbers"):
+            prob_no_arrival(two, 1.0, x0=bad)
+    for bad in (["1", "0.5"], [1.0, True], "1"):
+        with pytest.raises(ValueError, match="^x0 must hold numbers"):
+            pmf(two, 1.0, 3, x0=bad)
+    at_theta = prob_no_arrival(two, 1.0)
+    for good in ([1.0, 0.5], np.array([1.0, 0.5]), (1, np.float32(0.5))):
+        assert prob_no_arrival(two, 1.0, x0=good) == at_theta
+
+
 def size(where, name, call, valid, least, marks=()):
     """A size argument: the call taking its value, a valid value and the least one."""
     return pytest.param(name, call, valid, least, id=f"{where}.{name}", marks=marks)
@@ -208,6 +226,8 @@ SIZES = [
          lambda v: monte_carlo_pmf(MODEL, 1.0, 64, 5, RngStream(1), n_steps=v), 4, 1),
     size("euler_affine_path", "n_steps",
          lambda v: euler_affine_path(MODEL.as_affine(), 1.0, 1.0, v, RngStream(1)), 4, 1),
+    size("FitOptions", "n_restarts", lambda v: FitOptions(n_restarts=v), 5, 0),
+    size("FitOptions", "maxiter", lambda v: FitOptions(maxiter=v), 2000, 1),
 ]
 
 
@@ -257,6 +277,9 @@ SCALARS = [
            lambda v: monte_carlo_pmf(MODEL, v, 64, 5, RngStream(1), n_steps=4), least=0),
     scalar("euler_affine_path", "horizon",
            lambda v: euler_affine_path(MODEL.as_affine(), 1.0, v, 4, RngStream(1)), least=0),
+    scalar("default_n_steps", "horizon", lambda v: default_n_steps(MODEL, v), least=0),
+    scalar("prob_no_arrival", "x0", lambda v: prob_no_arrival(MODEL, 1.0, x0=v), least=0),
+    scalar("pmf", "x0", lambda v: pmf(MODEL, 1.0, 5, x0=v), least=0),
     scalar("hazard_moments", "t", lambda v: hazard_moments(MODEL, v), least=0),
     scalar("mean_count", "t", lambda v: mean_count(MODEL, v), least=0),
     scalar("GammaLaw", "shape", lambda v: GammaLaw(v, 1.0), above=0),
