@@ -162,11 +162,18 @@ class TransformCoeffs:
     beta: object
 
     def laplace(self, x0) -> Scalar:
-        """L(mu) at initial state x0 (a number or a length-1 sequence for one factor)."""
+        """L(mu) at initial state x0: one finite number per factor, given as
+        a number or a length-1 sequence for one factor, else ValueError.
+
+        No sign is required: the Gaussian factors of an ``AffineModel`` may
+        be negative.  ``laplace_hazard`` holds a Feller state to >= 0.
+        """
         betas = self.beta if isinstance(self.beta, tuple) else (self.beta,)
-        x = np.asarray(x0, dtype=float).reshape(-1)
+        x = frozen("x0", x0, float).reshape(-1)
         if x.size != len(betas):
             raise ValueError(f"transform of {len(betas)} factor(s) got state of length {x.size}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"x0 must be a vector of {x.size} finite numbers, got {x.tolist()}")
         acc = self.alpha
         for bj, xj in zip(betas, x):
             acc = acc - bj * float(xj)
@@ -378,7 +385,7 @@ def laplace_hazard(
     else:
         if x0 is not None:
             x0 = frozen("x0", x0, float)
-            if x0.shape != (model.dim,) or not np.isfinite(x0).all():
+            if x0.shape != (model.dim,):
                 raise ValueError(
                     f"x0 must be a vector of {model.dim} finite numbers, got {x0.tolist()}"
                 )

@@ -282,7 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_val, needs_model=True)
     p_val.add_argument("--reps", type=int, default=None, help="number of replications (default 100)")
     p_val.add_argument("--len", type=float, default=None, help="series length (default 500)")
-    p_val.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p_val.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes that run replications, this one included (default 1)",
+    )
     return parser
 
 

@@ -447,19 +447,80 @@ def _nelder_mead(
     return _Search(sim[0], fsim[0], nfev, nit, success, sim)
 
 
+_worker_counter = None  # a worker_map worker's task counter, set as the worker starts
+
+
+def _join_counter(counter) -> None:
+    global _worker_counter
+    _worker_counter = counter
+
+
+def _claim(counter, func, items: list, start: int) -> list:
+    """Run ``func`` on every task this process claims, as (index, result).
+
+    Task k of ``items`` is number ``start + k`` of ``counter``; a process
+    claims the next number under the counter's lock and stops at the first
+    one past the tasks, leaving the counter there.
+    """
+    stop = start + len(items)
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            if i >= stop:
+                return done
+            counter.value = i + 1
+        done.append((i - start, func(items[i - start])))
+
+
+def _claim_in_worker(func, items: list, start: int) -> list:
+    return _claim(_worker_counter, func, items, start)
+
+
 @contextlib.contextmanager
 def worker_map(workers: int) -> Iterator[Callable]:
-    """The builtin ``map`` when ``workers <= 1``, else the ``map`` of a pool
-    of ``workers`` processes started with ``spawn`` (numpy has started threads
-    in this process, so not ``fork``) and shut down on exit.  Both return
-    results in task order.  The workers start at once, overlapping the work
-    done inside the block.
+    """A map over ``workers`` processes, this one included, returning
+    results in task order.
+
+    With ``workers <= 1`` it is the builtin ``map``.  Otherwise a pool of
+    ``workers - 1`` processes starts at once with ``spawn`` (numpy has
+    started threads in this process, so not ``fork``), overlapping the work
+    done inside the block, and is shut down on exit.  Each call of the map
+    sends every worker the function and the tasks, then this process and
+    the workers each take the next unclaimed task from one shared counter
+    until none is left.  This process starts on the first task at once,
+    while the workers are still importing.  A task that raises here
+    propagates at once, and no further task of that map starts; one that
+    raises in a worker propagates once this process has run out of tasks.
     """
     if workers <= 1:
         yield map
         return
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        yield pool.map
+    ctx = multiprocessing.get_context("spawn")
+    counter = ctx.Value("q", 0)
+    with ctx.Pool(workers - 1, initializer=_join_counter, initargs=(counter,)) as pool:
+
+        def shared_map(func, tasks) -> list:
+            items = list(tasks)
+            # each map numbers its tasks on from the last map's, so a worker
+            # still finishing a task of a map that raised claims none of these
+            start = counter.value
+            jobs = [
+                pool.apply_async(_claim_in_worker, (func, items, start))
+                for _ in range(workers - 1)
+            ]
+            try:
+                done = _claim(counter, func, items, start)
+                for job in jobs:
+                    done += job.get()
+            finally:
+                counter.value = start + len(items)
+            results = [None] * len(items)
+            for k, result in done:
+                results[k] = result
+            return results
+
+        yield shared_map
 
 
 def _search_from(task) -> _Search:
@@ -496,13 +557,14 @@ def fit(
     loosely, once the simplex's values agree to 1e-6 relative.
     ``restart_map(_search_from, tasks)`` runs them: it must return the
     results in task order, as the builtin ``map`` (the default, one search
-    after another) and the map of ``worker_map`` do.  A pool's ``map``
-    pickles the tasks and the results and runs the searches in its worker
-    processes.  The best finite search is picked in restart order, the first
-    of a tie winning, so the result is bit-identical for any map.  One strict
-    search from a fresh simplex at the winner, in this process, then polishes
-    it: the winner is that simplex's first vertex, so the polish can only
-    improve on it, and it confirms that the loose search had not stalled.
+    after another) and the map of ``worker_map`` do.  ``worker_map``'s map
+    runs searches in this process and in its workers alike, pickling the
+    tasks and results that cross to a worker.  The best finite search is
+    picked in restart order, the first of a tie winning, so the result is
+    bit-identical for any map.  One strict search from a fresh simplex at
+    the winner, in this process, then polishes it: the winner is that
+    simplex's first vertex, so the polish can only improve on it, and it
+    confirms that the loose search had not stalled.
     ``converged`` is the polish's.
 
     Raises ValueError on fewer than 20 observations, and on non-finite data
@@ -581,6 +643,8 @@ def std_errors(
     scale by the delta method.  A Hessian that is not positive definite is
     flagged and handled with a pseudo-inverse rather than treated as fatal,
     and a parameter left without a finite positive variance gets SE None.
+    Under the pseudo-inverse a log-variance at or below n * eps times the
+    largest one is rounding, not a variance, and counts as not positive.
     """
     y = _observable(obs)
     x = np.log([params_hat.kappa, params_hat.theta, params_hat.sigma, max(R_hat, 1e-300)])
@@ -614,11 +678,14 @@ def std_errors(
     try:
         np.linalg.cholesky(A)
         cov = np.linalg.inv(A)
+        tiny = 0.0
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(A)
+        # a direction the pseudo-inverse cut off keeps a rounding-level variance
+        tiny = max(n * np.finfo(float).eps * np.diag(cov).max(), 0.0)
         warning = True
     var_log = np.diag(cov)
-    known = np.isfinite(var_log) & (var_log > 0)
+    known = np.isfinite(var_log) & (var_log > tiny)
     nat = np.exp(x) * np.sqrt(np.where(known, var_log, 0.0))  # delta method: d(exp x)/dx = exp x
     se = {p: v if ok else None for p, v, ok in zip(PARAM_NAMES, nat.tolist(), known.tolist())}
     return StdErrorReport(**se, hessian_warning=warning or not known.all())
@@ -810,8 +877,10 @@ def replication_study(
 
     Replication ``rep`` uses the child stream ``rng.spawn(rep)``, and its fit
     starts from the true model with ``R_init = R``.  The replications run on
-    ``worker_map(min(jobs, n_reps))``, which returns them in replication order,
-    so the summary is bit-identical for any ``jobs``.  Individual replication
+    ``worker_map(min(jobs, n_reps))``: ``jobs`` processes, this one included,
+    each taking the next replication not yet started.  The map returns them
+    in replication order, so the summary is bit-identical for any ``jobs``,
+    and each fit runs its restarts serially.  Individual replication
     failures are recorded and excluded; a ``series_len`` below 20 raises first.
     """
     check_size("n_reps", n_reps)

@@ -270,6 +270,20 @@ class TestOnePath:
             with pytest.raises(ValueError, match="state of length"):
                 tc.laplace(bad)
 
+    def test_state_must_be_finite_numbers_of_either_sign(self):
+        one = cir_transform_closed_form(FellerModel(1.0, 1.0, 0.5, 1.0), 1.0, 1.0)
+        two = solve_transform_ode(random_affine(np.random.default_rng(5), 2), 1.0, 1.0)
+        for tc, bad in ((one, math.nan), (one, [math.inf]), (two, np.array([1.0, -math.inf]))):
+            with pytest.raises(ValueError, match="^x0 must be a vector of .* finite numbers"):
+                tc.laplace(bad)
+        for tc, bad in ((one, True), (one, "1"), (two, [1.0, True])):
+            with pytest.raises(ValueError, match="^x0 must hold numbers"):
+                tc.laplace(bad)
+        # a Gaussian factor's state may be negative: only laplace_hazard's
+        # Feller branch asks for >= 0
+        assert one.laplace(-5.0) == math.exp(one.alpha + 5.0 * one.beta)
+        assert two.laplace([-5.0, 0.0]) == math.exp(two.alpha + 5.0 * two.beta[0])
+
     def test_coeffs_hold_alpha_and_a_beta_tuple(self):
         assert [f.name for f in dataclasses.fields(TransformCoeffs)] == ["alpha", "beta"]
         m = random_affine(np.random.default_rng(6), 2)

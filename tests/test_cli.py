@@ -299,9 +299,11 @@ class TestValidate:
         for name in names:
             assert (out / name).exists(), name
         shutil.copytree(out, snap)
-        assert main(base + ["--jobs", "2"]) == 0
-        for name in names:
-            assert (out / name).read_bytes() == (snap / name).read_bytes(), name
+        for jobs in ("2", "3"):
+            assert main(base + ["--jobs", jobs]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == (snap / name).read_bytes(), (jobs, name)
+            assert multiprocessing.active_children() == []
         doc = json.loads((out / "summary.json").read_text())
         assert doc["n_requested"] == 6 and doc["n_failed"] == 0
         est_rows = [

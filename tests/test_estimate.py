@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 
 import mpmath
 import numpy as np
@@ -40,14 +41,59 @@ from coxaffine import data_io, estimate
 from coxaffine.estimate import (
     _FATOL,
     _LOOSE_FRTOL,
+    _MIN_OBS,
     _PENALTY,
     _XATOL,
     _filter_coeffs,
     _nelder_mead,
     _objective,
+    worker_map,
 )
 
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
+
+
+# tasks for worker_map, at module level so that spawned workers import them
+def _square(k):
+    return k * k
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _nap(k):
+    time.sleep(0.02)
+    return k
+
+
+def _log_run(task):
+    """Log the task's index once ``procs`` processes have each begun a task."""
+    k, folder, procs = task
+    pids = os.path.join(folder, "pids")
+    open(os.path.join(pids, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 60.0
+    while len(os.listdir(pids)) < procs and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with open(os.path.join(folder, "runs"), "a") as fh:
+        fh.write(f"{k}\n")
+    return k
+
+
+def _fail_in_caller(caller_pid):
+    if os.getpid() == caller_pid:
+        raise ArithmeticError("task failed in the calling process")
+
+
+def _fail_in_worker(task):
+    """Raise in a worker; in the calling process, wait until a worker has."""
+    caller_pid, flag = task
+    if os.getpid() != caller_pid:
+        open(flag, "w").close()
+        raise ArithmeticError("task failed in a worker")
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(flag) and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def measurement(params, spec):
@@ -251,11 +297,14 @@ class TestFit:
         serial = fit(y, spec, init=DESK, rng=RngStream(606))
         with multiprocessing.get_context("spawn").Pool(2) as pool:
             pooled = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=pool.map)
-        assert json.dumps(pooled.as_dict()) == json.dumps(serial.as_dict())
-        for field in dataclasses.fields(FilterOutput):
-            a = getattr(serial.filter_output, field.name)
-            b = getattr(pooled.filter_output, field.name)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        with worker_map(2) as shared_map:
+            shared = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=shared_map)
+        for other in (pooled, shared):
+            assert json.dumps(other.as_dict()) == json.dumps(serial.as_dict())
+            for field in dataclasses.fields(FilterOutput):
+                a = getattr(serial.filter_output, field.name)
+                b = getattr(other.filter_output, field.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     def test_starting_points_are_drawn_in_restart_order(self):
         y, spec = self.make_series(100)
@@ -331,6 +380,31 @@ class TestFit:
         y, spec = self.make_series(800)
         rep = std_errors(DESK, 1e-3, y, spec)
         assert all(math.isfinite(v) and v >= 0.0 for v in (rep.kappa, rep.theta, rep.sigma, rep.R))
+
+    def test_a_rounding_level_variance_gets_no_standard_error(self, monkeypatch):
+        # the negative Hessian of a perfbench fit_events log (seed 1902) at its
+        # optimum, to four digits: log R has a zero second difference and
+        # cross terms at rounding level, so the matrix is indefinite and the
+        # pseudo-inverse leaves log R a variance of about 1e-21 against 7e-3
+        A = np.array([
+            [358.6, -22.37, -637.0, -2.55e-7],
+            [-22.37, 3513.9, 462.8, 2.54e-7],
+            [-637.0, 462.8, 1920.0, 5.86e-7],
+            [-2.55e-7, 2.54e-7, 5.86e-7, 0.0],
+        ])
+        x_hat = np.log([DESK.kappa, DESK.theta, DESK.sigma, 1e-3])
+
+        def quadratic(y, spec):
+            def neg_loglik(x):
+                d = np.asarray(x) - x_hat
+                return 0.5 * float(d @ A @ d)
+
+            return neg_loglik
+
+        monkeypatch.setattr(estimate, "_objective", quadratic)
+        rep = std_errors(DESK, 1e-3, np.zeros(_MIN_OBS))
+        assert rep.R is None and rep.hessian_warning
+        assert all(v > 0.0 for v in (rep.kappa, rep.theta, rep.sigma))
 
 
 class TestNelderMead:
@@ -591,6 +665,56 @@ class TestSimulateObservations:
             simulate_observations(DESK, 1e-3, self.SPEC, 0, RngStream(0))
         with pytest.raises(ValueError):
             simulate_observations(DESK, 1e-3, self.SPEC, 5, RngStream(0), start="warm")
+
+
+class TestWorkerMap:
+    def test_every_map_returns_its_results_in_task_order(self):
+        # several maps share one block, and so one task counter
+        for workers in (1, 2, 3):
+            with worker_map(workers) as task_map:
+                for n in (0, 1, 5, 40):
+                    got = list(task_map(_square, range(n)))
+                    assert got == [k * k for k in range(n)], (workers, n)
+        assert multiprocessing.active_children() == []
+
+    def test_this_process_runs_tasks_beside_the_workers(self):
+        with worker_map(2) as task_map:
+            pids = task_map(_pid, range(40))
+        assert os.getpid() in pids
+
+    def test_a_task_raising_here_propagates_and_leaves_no_process(self):
+        with pytest.raises(ArithmeticError, match="calling process"):
+            with worker_map(2) as task_map:
+                task_map(_fail_in_caller, [os.getpid()] * 5)
+        assert multiprocessing.active_children() == []
+
+    def test_each_task_runs_once_with_more_processes_than_cores(self, tmp_path):
+        # all four processes claim at once; a claim that lost an update
+        # would run some task twice
+        (tmp_path / "pids").mkdir()
+        tasks = [(k, str(tmp_path), 4) for k in range(400)]
+        with worker_map(4) as task_map:
+            assert task_map(_log_run, tasks) == list(range(400))
+        assert len(os.listdir(tmp_path / "pids")) == 4
+        with open(tmp_path / "runs") as fh:
+            assert sorted(int(line) for line in fh) == list(range(400))
+        assert multiprocessing.active_children() == []
+
+    def test_a_map_after_one_that_raised_returns_every_result(self):
+        # the worker starts the failed map's claim loop after the next map
+        # has started; it must take none of the next map's tasks
+        with worker_map(2) as task_map:
+            with pytest.raises(ArithmeticError, match="calling process"):
+                task_map(_fail_in_caller, [os.getpid()] * 200)
+            assert task_map(_nap, range(100)) == list(range(100))
+        assert multiprocessing.active_children() == []
+
+    def test_a_task_raising_in_a_worker_propagates_and_leaves_no_process(self, tmp_path):
+        tasks = [(os.getpid(), str(tmp_path / "raised"))] * 5
+        with pytest.raises(ArithmeticError, match="in a worker"):
+            with worker_map(2) as task_map:
+                task_map(_fail_in_worker, tasks)
+        assert multiprocessing.active_children() == []
 
 
 class TestReplication:

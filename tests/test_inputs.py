@@ -12,7 +12,8 @@ takes arrays or sizes follows them alike:
   and not a bool or a string: NaN, an infinity, a bool, a numeric string or a
   value past its bound (>= 0 or > 0) raises ValueError naming the argument;
 * a start state ``x0`` is such a number, >= 0, for a square-root model and
-  an array field of ``dim`` finite entries for an affine one.
+  an array field of ``dim`` finite entries for an affine one;
+  ``TransformCoeffs.laplace`` owns the finite rule and sets no sign.
 """
 
 import math
