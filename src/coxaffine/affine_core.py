@@ -147,6 +147,15 @@ class AffineModel:
         return self.rho0 + float(self.rho1 @ np.asarray(x, dtype=float))
 
 
+def _finite_state(x0, d: int) -> np.ndarray:
+    """The start state ``x0`` of a d-factor model as floats, all finite, else
+    ValueError; its shape is the caller's to check."""
+    x = frozen("x0", x0, float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 must be a vector of {d} finite numbers, got {x.tolist()}")
+    return x
+
+
 @dataclass(frozen=True)
 class TransformCoeffs:
     """Coefficients of L(mu) = exp(alpha - beta . x) over a horizon.
@@ -169,11 +178,9 @@ class TransformCoeffs:
         be negative.  ``laplace_hazard`` holds a Feller state to >= 0.
         """
         betas = self.beta if isinstance(self.beta, tuple) else (self.beta,)
-        x = frozen("x0", x0, float).reshape(-1)
+        x = _finite_state(x0, len(betas)).reshape(-1)
         if x.size != len(betas):
             raise ValueError(f"transform of {len(betas)} factor(s) got state of length {x.size}")
-        if not np.isfinite(x).all():
-            raise ValueError(f"x0 must be a vector of {x.size} finite numbers, got {x.tolist()}")
         acc = self.alpha
         for bj, xj in zip(betas, x):
             acc = acc - bj * float(xj)
@@ -384,7 +391,8 @@ def laplace_hazard(
         start = model.lambda0
     else:
         if x0 is not None:
-            x0 = frozen("x0", x0, float)
+            # checked before the Riccati solve, by the rule laplace applies
+            x0 = _finite_state(x0, model.dim)
             if x0.shape != (model.dim,):
                 raise ValueError(
                     f"x0 must be a vector of {model.dim} finite numbers, got {x0.tolist()}"

@@ -26,7 +26,6 @@ from .affine_core import ExplosionError, FellerModel, load_model, model_to_dict
 from .cox_dist import PrecisionError, mean_count, pmf, var_count
 from .simulate import (
     RngStream,
-    _usable_cpus,
     default_n_steps,
     simulate_arrivals,
     simulate_path,
@@ -144,31 +143,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
     init = None
     if args.model:
         init = _require_feller(load_model(args.model), "fit initialization")
-    with open(args.data, "rb"):  # an unreadable log fails before any worker starts
-        pass
-    workers = min(_usable_cpus(), estimate.FitOptions().n_restarts + 1)
-    with estimate.worker_map(workers) as restart_map:
-        log = data_io.load_events(args.data)
-        series = data_io.aggregate(
-            log,
-            interval=pipeline.interval_seconds,
-            sessions=pipeline.sessions,
-            average_days=pipeline.average_days,
-        )
-        series = data_io.to_observable(series, M=pipeline.M, mapping=pipeline.mapping)
-        y, spec = estimate.observation_model(series)
-        cfg = _config_dict(args, model=init, pipeline=pipeline)
-        cfg["n_obs"] = int(y.size)
-        cfg["spec"] = dataclasses.asdict(spec)
+    log = data_io.load_events(args.data)
+    series = data_io.aggregate(
+        log,
+        interval=pipeline.interval_seconds,
+        sessions=pipeline.sessions,
+        average_days=pipeline.average_days,
+    )
+    series = data_io.to_observable(series, M=pipeline.M, mapping=pipeline.mapping)
+    y, spec = estimate.observation_model(series)
+    cfg = _config_dict(args, model=init, pipeline=pipeline)
+    cfg["n_obs"] = int(y.size)
+    cfg["spec"] = dataclasses.asdict(spec)
 
-        result = estimate.fit(
-            y,
-            spec,
-            init=init,
-            R_init=max(0.5 * float(np.std(y)), 1e-6),
-            rng=RngStream(args.seed),
-            restart_map=restart_map,
-        )
+    result = estimate.fit(
+        y,
+        spec,
+        init=init,
+        R_init=max(0.5 * float(np.std(y)), 1e-6),
+        rng=RngStream(args.seed),
+    )
     filt = result.filter_output
 
     payload = result.as_dict()

@@ -455,26 +455,22 @@ def _join_counter(counter) -> None:
     _worker_counter = counter
 
 
-def _claim(counter, func, items: list, start: int) -> list:
+def _claim(func, items: list, start: int, counter=None) -> list:
     """Run ``func`` on every task this process claims, as (index, result).
 
-    Task k of ``items`` is number ``start + k`` of ``counter``; a process
-    claims the next number under the counter's lock and stops at the first
-    one past the tasks, leaving the counter there.
+    Task k of ``items`` is number ``start + k`` of ``counter`` (by default
+    the worker's).  A process claims the next number under the counter's
+    lock and stops at the first one past the tasks, leaving the counter there.
     """
-    stop = start + len(items)
+    counter = _worker_counter if counter is None else counter
     done = []
     while True:
         with counter.get_lock():
-            i = counter.value
-            if i >= stop:
+            k = counter.value - start
+            if k >= len(items):
                 return done
-            counter.value = i + 1
-        done.append((i - start, func(items[i - start])))
-
-
-def _claim_in_worker(func, items: list, start: int) -> list:
-    return _claim(_worker_counter, func, items, start)
+            counter.value += 1
+        done.append((k, func(items[k])))
 
 
 @contextlib.contextmanager
@@ -505,16 +501,13 @@ def worker_map(workers: int) -> Iterator[Callable]:
             # each map numbers its tasks on from the last map's, so a worker
             # still finishing a task of a map that raised claims none of these
             start = counter.value
-            jobs = [
-                pool.apply_async(_claim_in_worker, (func, items, start))
-                for _ in range(workers - 1)
-            ]
+            jobs = [pool.apply_async(_claim, (func, items, start)) for _ in range(workers - 1)]
             try:
-                done = _claim(counter, func, items, start)
+                done = _claim(func, items, start, counter)
                 for job in jobs:
                     done += job.get()
             finally:
-                counter.value = start + len(items)
+                counter.value = start + len(items)  # a map that raised: claim no more
             results = [None] * len(items)
             for k, result in done:
                 results[k] = result
@@ -557,7 +550,8 @@ def fit(
     loosely, once the simplex's values agree to 1e-6 relative.
     ``restart_map(_search_from, tasks)`` runs them: it must return the
     results in task order, as the builtin ``map`` (the default, one search
-    after another) and the map of ``worker_map`` do.  ``worker_map``'s map
+    after another, as the ``fit`` command runs them) and the map of
+    ``worker_map`` do.  ``worker_map``'s map
     runs searches in this process and in its workers alike, pickling the
     tasks and results that cross to a worker.  The best finite search is
     picked in restart order, the first of a tie winning, so the result is

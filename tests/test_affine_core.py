@@ -284,6 +284,18 @@ class TestOnePath:
         assert one.laplace(-5.0) == math.exp(one.alpha + 5.0 * one.beta)
         assert two.laplace([-5.0, 0.0]) == math.exp(two.alpha + 5.0 * two.beta[0])
 
+    def test_a_bad_affine_state_fails_before_the_riccati_solve(self, monkeypatch):
+        from coxaffine import affine_core
+
+        def solve(*args):
+            raise AssertionError("the Riccati solve ran")
+
+        monkeypatch.setattr(affine_core, "solve_transform_ode", solve)
+        two = random_affine(np.random.default_rng(5), 2)
+        for bad in ([1.0, math.nan], [math.inf, 0.5], [1.0, True]):
+            with pytest.raises(ValueError, match="^x0 must "):
+                laplace_hazard(two, 1.0, 1.0, x0=bad)
+
     def test_coeffs_hold_alpha_and_a_beta_tuple(self):
         assert [f.name for f in dataclasses.fields(TransformCoeffs)] == ["alpha", "beta"]
         m = random_affine(np.random.default_rng(6), 2)

@@ -10,7 +10,7 @@ and ``data_io`` imports only ``_inputs``.  scipy loads only inside the functions
 it, so the package imports, and every CLI command runs, without loading any
 scipy module; ``fit`` and ``validate`` too, since the Ljung-Box p-value is
 computed in the package.  Importing the CLI starts no process,
-and the worker pool of ``fit`` or ``validate`` does not outlive the command.
+and ``validate``'s worker pool does not outlive the command.
 ``concurrent.futures`` loads only inside the Monte Carlo block loop, so
 importing the CLI and running ``simulate`` or ``pmf`` never loads it.
 """
