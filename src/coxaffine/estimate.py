@@ -551,15 +551,14 @@ def fit(
     ``restart_map(_search_from, tasks)`` runs them: it must return the
     results in task order, as the builtin ``map`` (the default, one search
     after another, as the ``fit`` command runs them) and the map of
-    ``worker_map`` do.  ``worker_map``'s map
-    runs searches in this process and in its workers alike, pickling the
-    tasks and results that cross to a worker.  The best finite search is
-    picked in restart order, the first of a tie winning, so the result is
-    bit-identical for any map.  One strict search from a fresh simplex at
-    the winner, in this process, then polishes it: the winner is that
-    simplex's first vertex, so the polish can only improve on it, and it
-    confirms that the loose search had not stalled.
-    ``converged`` is the polish's.
+    ``worker_map`` do.  ``worker_map``'s map runs searches in this process
+    and in its workers alike, pickling the tasks and results that cross to
+    a worker.  The best finite search is picked in restart order, the
+    first of a tie winning, so the result is bit-identical for any map.
+    One strict search from a fresh simplex at the winner, in this process,
+    then polishes it: the winner is that simplex's first vertex, so the
+    polish can only improve on it, and it confirms that the loose search
+    had not stalled.  ``converged`` is the polish's.
 
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
