@@ -22,11 +22,10 @@ which ``_backend.filter_kernel`` takes with one log per pass.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -455,75 +454,51 @@ def _join_counter(counter) -> None:
     _worker_counter = counter
 
 
-def _claim(func, items: list, start: int, counter=None) -> list:
+def _claim(func, items: list, counter=None) -> list:
     """Run ``func`` on every task this process claims, as (index, result).
 
-    Task k of ``items`` is number ``start + k`` of ``counter`` (by default
-    the worker's).  A process claims the next number under the counter's
-    lock and stops at the first one past the tasks, leaving the counter there.
+    A process claims the next task number under the lock of ``counter``
+    (by default the worker's) and stops at the first one past the tasks.
     """
     counter = _worker_counter if counter is None else counter
     done = []
     while True:
         with counter.get_lock():
-            k = counter.value - start
+            k = counter.value
             if k >= len(items):
                 return done
             counter.value += 1
         done.append((k, func(items[k])))
 
 
-@contextlib.contextmanager
-def worker_map(workers: int) -> Iterator[Callable]:
-    """A map over ``workers`` processes, this one included, returning
-    results in task order.
+def worker_map(func, tasks, processes: int) -> list:
+    """``func`` over ``tasks`` on ``processes`` processes, this one
+    included, with the results in task order.
 
-    With ``workers <= 1`` it is the builtin ``map``.  Otherwise a pool of
-    ``workers - 1`` processes starts at once with ``spawn`` (numpy has
-    started threads in this process, so not ``fork``), overlapping the work
-    done inside the block, and is shut down on exit.  Each call of the map
-    sends every worker the function and the tasks, then this process and
-    the workers each take the next unclaimed task from one shared counter
-    until none is left.  This process starts on the first task at once,
-    while the workers are still importing.  A task that raises here
-    propagates at once, and no further task of that map starts; one that
-    raises in a worker propagates once this process has run out of tasks.
+    With ``processes <= 1`` it is ``list(map(func, tasks))``.  Otherwise
+    it starts ``processes - 1`` workers with ``spawn`` (numpy has started
+    threads in this process, so not ``fork``), and this process and the
+    workers each take the next unclaimed task from one shared counter until
+    none is left.  This process starts on the first task at once, while
+    the workers are still importing.  A task that raises here propagates
+    at once; one that raises in a worker propagates once this process has
+    run out of tasks.  Either way, and on return, the workers are
+    terminated.
     """
-    if workers <= 1:
-        yield map
-        return
+    items = list(tasks)
+    if processes <= 1:
+        return list(map(func, items))
     ctx = multiprocessing.get_context("spawn")
     counter = ctx.Value("q", 0)
-    with ctx.Pool(workers - 1, initializer=_join_counter, initargs=(counter,)) as pool:
-
-        def shared_map(func, tasks) -> list:
-            items = list(tasks)
-            # each map numbers its tasks on from the last map's, so a worker
-            # still finishing a task of a map that raised claims none of these
-            start = counter.value
-            jobs = [pool.apply_async(_claim, (func, items, start)) for _ in range(workers - 1)]
-            try:
-                done = _claim(func, items, start, counter)
-                for job in jobs:
-                    done += job.get()
-            finally:
-                counter.value = start + len(items)  # a map that raised: claim no more
-            results = [None] * len(items)
-            for k, result in done:
-                results[k] = result
-            return results
-
-        yield shared_map
-
-
-def _search_from(task) -> _Search:
-    """One restart of ``fit``: the loose simplex search from the point ``x``.
-
-    The objective is built here, in the process that runs the search,
-    because its closure cannot be pickled.
-    """
-    y, spec, x, maxiter = task
-    return _nelder_mead(_objective(y, spec), x, maxiter, 4 * maxiter, _LOOSE_FRTOL)
+    with ctx.Pool(processes - 1, initializer=_join_counter, initargs=(counter,)) as pool:
+        jobs = [pool.apply_async(_claim, (func, items)) for _ in range(processes - 1)]
+        done = _claim(func, items, counter)
+        for job in jobs:
+            done += job.get()
+    results = [None] * len(items)
+    for k, result in done:
+        results[k] = result
+    return results
 
 
 def fit(
@@ -533,32 +508,25 @@ def fit(
     R_init: float = 1e-3,
     options: FitOptions = FitOptions(),
     rng: Optional[RngStream] = None,
-    restart_map: Callable = map,
 ) -> EstimationResult:
     """Maximize the quasi log-likelihood over (kappa, theta, sigma, R).
 
     Optimization runs in log-parameter space (so estimates stay positive)
-    with ``_nelder_mead``, the package's own derivative-free simplex search,
-    from the initial point and ``options.n_restarts`` random restarts around
-    it; the flooring in the filter makes the objective only piecewise
-    smooth, which rules out gradient methods.  The search orders tied vertex
-    values by vertex index, so the fitted bits do not depend on the
-    machine's sort.
+    with ``_nelder_mead``, the package's own simplex search.  The searches
+    are derivative-free; the floor on the filtered mean makes the objective
+    only piecewise smooth.  The search orders tied vertex values by vertex
+    index, so the fitted bits do not depend on the machine's sort.
 
-    All starting points are drawn first, from one generator of ``rng``, and
-    each search runs as ``_search_from((y, spec, x, maxiter))``, which stops
-    loosely, once the simplex's values agree to 1e-6 relative.
-    ``restart_map(_search_from, tasks)`` runs them: it must return the
-    results in task order, as the builtin ``map`` (the default, one search
-    after another, as the ``fit`` command runs them) and the map of
-    ``worker_map`` do.  ``worker_map``'s map runs searches in this process
-    and in its workers alike, pickling the tasks and results that cross to
-    a worker.  The best finite search is picked in restart order, the
-    first of a tie winning, so the result is bit-identical for any map.
-    One strict search from a fresh simplex at the winner, in this process,
-    then polishes it: the winner is that simplex's first vertex, so the
-    polish can only improve on it, and it confirms that the loose search
-    had not stalled.  ``converged`` is the polish's.
+    All starting points are drawn first, from one generator of ``rng``: the
+    initial point and ``options.n_restarts`` random restarts around it.
+    One objective, built once, serves every search.  The restart searches
+    run one after another, in restart order, each stopping loosely, once
+    the simplex's values agree to 1e-6 relative.  The best finite search is
+    picked in restart order, the first of a tie winning.  One strict search
+    from a fresh simplex at the winner then polishes it: the winner is that
+    simplex's first vertex, so the polish can only improve on it, and it
+    confirms that the loose search had not stalled.  ``converged`` is the
+    polish's.
 
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
@@ -576,14 +544,16 @@ def fit(
     gen = rng.generator()
     starts = [x0]
     starts += [x0 + _PERTURB_SCALE * gen.standard_normal(4) for _ in range(options.n_restarts)]
-    tasks = [(y, spec, x.tolist(), options.maxiter) for x in starts]
+    objective = _objective(y, spec)
+    maxiter = options.maxiter
     best = None
-    for res in restart_map(_search_from, tasks):
+    for x in starts:
+        res = _nelder_mead(objective, x.tolist(), maxiter, 4 * maxiter, _LOOSE_FRTOL)
         if res.fun < _PENALTY and (best is None or res.fun < best.fun):
             best = res
     if best is None:
         raise EstimationError("no optimizer run produced a finite quasi log-likelihood")
-    best = _nelder_mead(_objective(y, spec), best.x, options.maxiter, 4 * options.maxiter)
+    best = _nelder_mead(objective, best.x, maxiter, 4 * maxiter)
 
     kappa, theta, sigma, R = np.exp(best.x)
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
@@ -869,21 +839,20 @@ def replication_study(
     """Simulate ``n_reps`` observable series from the model and refit each.
 
     Replication ``rep`` uses the child stream ``rng.spawn(rep)``, and its fit
-    starts from the true model with ``R_init = R``.  The replications run on
-    ``worker_map(min(jobs, n_reps))``: ``jobs`` processes, this one included,
-    each taking the next replication not yet started.  The map returns them
-    in replication order, so the summary is bit-identical for any ``jobs``,
-    and each fit runs its restarts serially.  Individual replication
-    failures are recorded and excluded; a ``series_len`` below 20 raises first.
+    starts from the true model with ``R_init = R``.  ``worker_map`` runs
+    the replications on ``min(jobs, n_reps)`` processes, this one included,
+    each taking the next replication not yet started, and returns them in
+    replication order, so the summary is bit-identical for any ``jobs``.
+    Each fit runs its restarts serially.  Individual replication failures
+    are recorded and excluded; a ``series_len`` below 20 raises first.
     """
     check_size("n_reps", n_reps)
     if is_real(series_len) and series_len < _MIN_OBS:
         raise ValueError(f"series_len must be >= {_MIN_OBS} (the fit's minimum), got {series_len}")
     check_size("series_len", series_len, least=_MIN_OBS)
     check_size("jobs", jobs)
-    with worker_map(min(jobs, n_reps)) as rep_map:
-        payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
-        raw = list(rep_map(_replicate_one, payloads))
+    payloads = [(true_params, R, spec, series_len, rep, rng) for rep in range(n_reps)]
+    raw = worker_map(_replicate_one, payloads, min(jobs, n_reps))
 
     failures = tuple((rep, err) for rep, (ok, err) in enumerate(raw) if ok is None)
     done = [ok for ok, _ in raw if ok is not None]

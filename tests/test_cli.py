@@ -37,7 +37,7 @@ def write_model(tmp_path, doc, name="model.json"):
 
 @pytest.fixture
 def contexts(monkeypatch):
-    """The start methods of every ``multiprocessing.get_context`` call, on two CPUs."""
+    """The start methods of every ``multiprocessing.get_context`` call."""
     calls = []
     get_context = multiprocessing.get_context
 
@@ -46,7 +46,6 @@ def contexts(monkeypatch):
         return get_context(method)
 
     monkeypatch.setattr(multiprocessing, "get_context", recorded)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return calls
 
 

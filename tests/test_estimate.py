@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
 
@@ -22,7 +23,6 @@ from coxaffine import (
     EstimationError,
     EstimationResult,
     FellerModel,
-    FilterOutput,
     FitOptions,
     LjungBoxReport,
     PARAM_NAMES,
@@ -54,17 +54,8 @@ DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
 
 
 # tasks for worker_map, at module level so that spawned workers import them
-def _square(k):
-    return k * k
-
-
 def _pid(_):
     return os.getpid()
-
-
-def _nap(k):
-    time.sleep(0.02)
-    return k
 
 
 def _log_run(task):
@@ -292,49 +283,41 @@ class TestFit:
         with pytest.raises(ValueError):
             StateSpaceSpec(mapping="identity")
 
-    def test_pool_map_gives_the_same_bits(self):
-        y, spec = self.make_series(100)
-        serial = fit(y, spec, init=DESK, rng=RngStream(606))
-        with multiprocessing.get_context("spawn").Pool(2) as pool:
-            pooled = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=pool.map)
-        with worker_map(2) as shared_map:
-            shared = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=shared_map)
-        for other in (pooled, shared):
-            assert json.dumps(other.as_dict()) == json.dumps(serial.as_dict())
-            for field in dataclasses.fields(FilterOutput):
-                a = getattr(serial.filter_output, field.name)
-                b = getattr(other.filter_output, field.name)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
-
-    def test_starting_points_are_drawn_in_restart_order(self):
+    def test_starting_points_are_drawn_in_restart_order(self, monkeypatch):
         y, spec = self.make_series(100)
         opts = FitOptions(n_restarts=4, maxiter=20)
-        tasks = []
+        calls = []
 
-        def recording_map(func, items):
-            tasks.extend(items)
-            return map(func, items)
+        def recorded(f, x0, maxiter, maxfev, frtol=None):
+            calls.append((f, x0, maxiter, maxfev, frtol))
+            return _nelder_mead(f, x0, maxiter, maxfev, frtol)
 
-        fit(y, spec, init=DESK, R_init=2e-3, options=opts, rng=RngStream(607),
-            restart_map=recording_map)
+        monkeypatch.setattr(estimate, "_nelder_mead", recorded)
+        fit(y, spec, init=DESK, R_init=2e-3, options=opts, rng=RngStream(607))
         x0 = np.log([DESK.kappa, DESK.theta, DESK.sigma, 2e-3])
         gen = RngStream(607).generator()
         expected = [x0.tolist()]
         expected += [(x0 + 0.7 * gen.standard_normal(4)).tolist() for _ in range(4)]
-        assert [x for _, _, x, _ in tasks] == expected
-        assert all(t[0] is y and t[1] == spec and t[3] == 20 for t in tasks)
+        loose = [c for c in calls if c[4] == _LOOSE_FRTOL]
+        assert [x for _, x, _, _, _ in loose] == expected
+        assert all(c[2:4] == (20, 80) for c in calls)
+        assert all(c[0] is calls[0][0] for c in calls)  # one objective serves every search
 
-    def test_restarts_stop_loosely_and_the_winner_is_polished_once(self):
+    def test_restarts_stop_loosely_and_the_winner_is_polished_once(self, monkeypatch):
         y, spec = self.make_series(100)
-        searches = []
+        searches, polishes = [], []
 
-        def recording_map(func, items):
-            searches.extend(map(func, items))
-            return searches
+        def recorded(f, x0, maxiter, maxfev, frtol=None):
+            res = _nelder_mead(f, x0, maxiter, maxfev, frtol)
+            (searches if frtol == _LOOSE_FRTOL else polishes).append(res)
+            return res
 
-        res = fit(y, spec, init=DESK, rng=RngStream(606), restart_map=recording_map)
+        monkeypatch.setattr(estimate, "_nelder_mead", recorded)
+        res = fit(y, spec, init=DESK, rng=RngStream(606))
+        assert len(searches) == 6 and len(polishes) == 1
         winner = min(searches, key=lambda s: s.fun)  # the first of a tie, as fit picks
         polish = _nelder_mead(_objective(y, spec), winner.x, 2000, 8000)
+        assert polishes == [polish]
         assert polish.fun <= winner.fun  # the winner is the polish's first vertex
         assert list(res.estimates) == np.exp(polish.x).tolist()
         assert res.loglik == -polish.fun
@@ -345,20 +328,18 @@ class TestFit:
         # each search ends where it starts: restart 0 scores the penalty,
         # 2 and 4 tie for the best value
         values = (_PENALTY, 5.0, 3.0, 4.0, 3.0, 3.5)
-        starts = []
+        starts, polished_from = [], []
 
-        def scripted_map(func, tasks):
-            starts.extend(t[2] for t in tasks)
-            return [estimate._Search(x, v, 1, 1, True, [x]) for x, v in zip(starts, values)]
-
-        polished_from = []
-
-        def recorded(f, x0, *args):
+        def scripted(f, x0, maxiter, maxfev, frtol=None):
+            if frtol == _LOOSE_FRTOL:
+                starts.append(x0)
+                return estimate._Search(x0, values[len(starts) - 1], 1, 1, True, [x0])
             polished_from.append(x0)
-            return _nelder_mead(f, x0, *args)
+            return _nelder_mead(f, x0, maxiter, maxfev)
 
-        monkeypatch.setattr(estimate, "_nelder_mead", recorded)
-        fit(y, spec, init=DESK, rng=RngStream(606), restart_map=scripted_map)
+        monkeypatch.setattr(estimate, "_nelder_mead", scripted)
+        fit(y, spec, init=DESK, rng=RngStream(606))
+        assert len(starts) == len(values)
         assert polished_from == [starts[2]]
 
     def test_a_fit_makes_few_kernel_calls(self, monkeypatch):
@@ -669,23 +650,19 @@ class TestSimulateObservations:
 
 class TestWorkerMap:
     def test_every_map_returns_its_results_in_task_order(self):
-        # several maps share one block, and so one task counter
-        for workers in (1, 2, 3):
-            with worker_map(workers) as task_map:
-                for n in (0, 1, 5, 40):
-                    got = list(task_map(_square, range(n)))
-                    assert got == [k * k for k in range(n)], (workers, n)
+        # a builtin task, so that the workers need not import this module
+        for processes in (1, 2, 3):
+            for n in (0, 1, 5, 40):
+                got = worker_map(operator.neg, range(n), processes)
+                assert got == [-k for k in range(n)], (processes, n)
         assert multiprocessing.active_children() == []
 
     def test_this_process_runs_tasks_beside_the_workers(self):
-        with worker_map(2) as task_map:
-            pids = task_map(_pid, range(40))
-        assert os.getpid() in pids
+        assert os.getpid() in worker_map(_pid, range(40), 2)
 
     def test_a_task_raising_here_propagates_and_leaves_no_process(self):
         with pytest.raises(ArithmeticError, match="calling process"):
-            with worker_map(2) as task_map:
-                task_map(_fail_in_caller, [os.getpid()] * 5)
+            worker_map(_fail_in_caller, [os.getpid()] * 5, 2)
         assert multiprocessing.active_children() == []
 
     def test_each_task_runs_once_with_more_processes_than_cores(self, tmp_path):
@@ -693,27 +670,16 @@ class TestWorkerMap:
         # would run some task twice
         (tmp_path / "pids").mkdir()
         tasks = [(k, str(tmp_path), 4) for k in range(400)]
-        with worker_map(4) as task_map:
-            assert task_map(_log_run, tasks) == list(range(400))
+        assert worker_map(_log_run, tasks, 4) == list(range(400))
         assert len(os.listdir(tmp_path / "pids")) == 4
         with open(tmp_path / "runs") as fh:
             assert sorted(int(line) for line in fh) == list(range(400))
         assert multiprocessing.active_children() == []
 
-    def test_a_map_after_one_that_raised_returns_every_result(self):
-        # the worker starts the failed map's claim loop after the next map
-        # has started; it must take none of the next map's tasks
-        with worker_map(2) as task_map:
-            with pytest.raises(ArithmeticError, match="calling process"):
-                task_map(_fail_in_caller, [os.getpid()] * 200)
-            assert task_map(_nap, range(100)) == list(range(100))
-        assert multiprocessing.active_children() == []
-
     def test_a_task_raising_in_a_worker_propagates_and_leaves_no_process(self, tmp_path):
         tasks = [(os.getpid(), str(tmp_path / "raised"))] * 5
         with pytest.raises(ArithmeticError, match="in a worker"):
-            with worker_map(2) as task_map:
-                task_map(_fail_in_worker, tasks)
+            worker_map(_fail_in_worker, tasks, 2)
         assert multiprocessing.active_children() == []
 
 
@@ -785,9 +751,21 @@ class TestReplication:
         with pytest.raises(EstimationError, match="every replication failed"):
             replication_study(DESK, 2, 100, RngStream(904), spec=self.SPEC)
 
+    def test_processes_are_the_fewer_of_jobs_and_replications(self, monkeypatch):
+        processes = []
+
+        def serial(func, tasks, n):
+            processes.append(n)
+            return list(map(func, tasks))
+
+        monkeypatch.setattr(estimate, "worker_map", serial)
+        replication_study(DESK, 2, 100, RngStream(906), spec=self.SPEC, jobs=5)
+        replication_study(DESK, 4, 100, RngStream(906), spec=self.SPEC, jobs=3)
+        assert processes == [2, 3]
+
     def test_short_series_rejected_before_any_worker(self, monkeypatch):
-        def no_pool(workers):
-            raise AssertionError("a worker map was opened")
+        def no_pool(func, tasks, processes):
+            raise AssertionError("a worker map was run")
 
         monkeypatch.setattr(estimate, "worker_map", no_pool)
         for series_len in (19, 10, 0):
