@@ -657,6 +657,14 @@ class TestWorkerMap:
                 assert got == [-k for k in range(n)], (processes, n)
         assert multiprocessing.active_children() == []
 
+    def test_one_process_starts_no_pool(self, monkeypatch):
+        def no_context(method=None):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        for processes in (1, 0):
+            assert worker_map(operator.neg, range(5), processes) == [0, -1, -2, -3, -4]
+
     def test_this_process_runs_tasks_beside_the_workers(self):
         assert os.getpid() in worker_map(_pid, range(40), 2)
 
@@ -751,7 +759,10 @@ class TestReplication:
         with pytest.raises(EstimationError, match="every replication failed"):
             replication_study(DESK, 2, 100, RngStream(904), spec=self.SPEC)
 
-    def test_processes_are_the_fewer_of_jobs_and_replications(self, monkeypatch):
+    @pytest.mark.parametrize("n_reps, jobs, expected", [(2, 5, 2), (4, 3, 3)])
+    def test_processes_are_the_fewer_of_jobs_and_replications(
+        self, monkeypatch, n_reps, jobs, expected
+    ):
         processes = []
 
         def serial(func, tasks, n):
@@ -759,9 +770,8 @@ class TestReplication:
             return list(map(func, tasks))
 
         monkeypatch.setattr(estimate, "worker_map", serial)
-        replication_study(DESK, 2, 100, RngStream(906), spec=self.SPEC, jobs=5)
-        replication_study(DESK, 4, 100, RngStream(906), spec=self.SPEC, jobs=3)
-        assert processes == [2, 3]
+        replication_study(DESK, n_reps, 100, RngStream(906), spec=self.SPEC, jobs=jobs)
+        assert processes == [expected]
 
     def test_short_series_rejected_before_any_worker(self, monkeypatch):
         def no_pool(func, tasks, processes):
