@@ -148,12 +148,12 @@ class AffineModel:
 
 
 def _finite_state(x0, d: int) -> np.ndarray:
-    """The start state ``x0`` of a d-factor model as floats, all finite, else
-    ValueError; its shape is the caller's to check."""
+    """The start state ``x0`` of a d-factor model as a vector of d finite
+    floats, else ValueError; one factor's may be given as a number."""
     x = frozen("x0", x0, float)
-    if not np.isfinite(x).all():
+    if x.ndim > 1 or x.size != d or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a vector of {d} finite numbers, got {x.tolist()}")
-    return x
+    return x.reshape(d)
 
 
 @dataclass(frozen=True)
@@ -178,11 +178,8 @@ class TransformCoeffs:
         be negative.  ``laplace_hazard`` holds a Feller state to >= 0.
         """
         betas = self.beta if isinstance(self.beta, tuple) else (self.beta,)
-        x = _finite_state(x0, len(betas)).reshape(-1)
-        if x.size != len(betas):
-            raise ValueError(f"transform of {len(betas)} factor(s) got state of length {x.size}")
         acc = self.alpha
-        for bj, xj in zip(betas, x):
+        for bj, xj in zip(betas, _finite_state(x0, len(betas))):
             acc = acc - bj * float(xj)
         return jets.exp(acc)
 
@@ -391,12 +388,7 @@ def laplace_hazard(
         start = model.lambda0
     else:
         if x0 is not None:
-            # checked before the Riccati solve, by the rule laplace applies
-            x0 = _finite_state(x0, model.dim)
-            if x0.shape != (model.dim,):
-                raise ValueError(
-                    f"x0 must be a vector of {model.dim} finite numbers, got {x0.tolist()}"
-                )
+            x0 = _finite_state(x0, model.dim)  # checked before the Riccati solve
         tc = solve_transform_ode(model, mu, horizon)
         start = model.theta
     return tc.laplace(start if x0 is None else x0)
@@ -511,14 +503,14 @@ def check_admissibility(model: AffineModel) -> AdmissibilityReport:
     b_gamma = math.inf
     b_ok = True
     if gauss:
-        from scipy.linalg import solve_continuous_lyapunov
-        from scipy.stats import norm
-
         sbar = np.clip(model.vol_sq(model.theta), 0.0, None)
         diff = model.sigma_mat @ np.diag(sbar) @ model.sigma_mat.T
+        # the Lyapunov equation kappa C + C kappa^T = diff, as one d^2 x d^2 system
+        eye = np.eye(d)
         try:
-            cov = solve_continuous_lyapunov(-model.kappa, -diff)
-        except Exception:
+            cov = np.linalg.solve(np.kron(model.kappa, eye) + np.kron(eye, model.kappa),
+                                  diff.ravel()).reshape(d, d)
+        except np.linalg.LinAlgError:
             cov = None
         for i in gauss:
             mu_d = float(model.theta[i])
@@ -533,7 +525,7 @@ def check_admissibility(model: AffineModel) -> AdmissibilityReport:
             sd = math.sqrt(cov[i, i])
             gamma = mu_d / sd
             b_gamma = min(b_gamma, gamma)
-            below = norm.sf(gamma)
+            below = 0.5 * math.erfc(gamma / math.sqrt(2.0))
             if gamma >= _GAMMA_THRESHOLD:
                 messages.append(
                     f"factor {i}: Gaussian margin gamma={gamma:.3f} "

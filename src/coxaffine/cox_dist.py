@@ -10,8 +10,9 @@ loses all digits past k of about 5.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -158,6 +159,8 @@ class GammaLaw:
     def __post_init__(self):
         check_real("shape", self.shape, above=0)
         check_real("rate", self.rate, above=0)
+        for f in fields(self):  # a numpy float32 would carry its rounding into pdf
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @property
     def mean(self) -> float:
@@ -168,9 +171,13 @@ class GammaLaw:
         return self.shape / self.rate**2
 
     def pdf(self, x):
-        from scipy import stats
-
-        return stats.gamma.pdf(x, a=self.shape, scale=1.0 / self.rate)
+        """The density at x, 0 below 0 and at infinity: a float for a number,
+        an array for an array."""
+        y = self.rate * np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            power = (self.shape - 1.0) * np.log(y) if self.shape != 1.0 else 0.0
+            dens = self.rate * np.exp(power - y - math.lgamma(self.shape))
+        return np.where((y < 0) | (y == math.inf), 0.0, dens)[()]
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.standard_gamma(self.shape, size=size) / self.rate
@@ -184,9 +191,12 @@ class NegBinLaw:
     p: float
 
     def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
         check_real("size", self.size, above=0)
+        check_real("p", self.p, above=0)
+        if not self.p < 1:
+            raise ValueError(f"p must be below 1, got {self.p!r}")
+        for f in fields(self):  # a numpy float32 would carry its rounding into 1 - p
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @property
     def mean(self) -> float:
@@ -196,19 +206,46 @@ class NegBinLaw:
     def var(self) -> float:
         return self.size * (1.0 - self.p) / self.p**2
 
-    def pmf(self, k):
-        from scipy import stats
+    def _log_term(self, k):
+        """log p_k, from lgamma."""
+        r, p = self.size, self.p
+        return (math.lgamma(k + r) - math.lgamma(r) - math.lgamma(k + 1)
+                + r * math.log(p) + k * math.log1p(-p))
 
-        return stats.nbinom.pmf(k, self.size, self.p)
+    def pmf(self, k):
+        """P(N = k), 0 unless k is a whole number >= 0."""
+        return _each(lambda j: math.exp(self._log_term(j)) if j >= 0 and j % 1 == 0 else 0.0, k)
 
     def sf(self, k):
-        from scipy import stats
+        """P(N > k), summed from floor(k) + 1 until a geometric bound on the
+        rest is below 2^-60 of the first term, never taken as 1 - cdf."""
+        r, q = self.size, 1.0 - self.p
 
-        return stats.nbinom.sf(k, self.size, self.p)
+        def tail(j):
+            if not 0 <= j < math.inf:
+                return 1.0 if j < 0 else 0.0 if j > 0 else math.nan
+            terms, term = [], 0.0
+            for i in itertools.count(math.floor(j) + 1):
+                if term < 1e-300:  # where the walk starts or has underflowed
+                    term = math.exp(self._log_term(i))
+                terms.append(term)
+                ratio = (i + r) * q / (i + 1)
+                rho = max(ratio, q)  # no later ratio exceeds it, for size >= 1 or < 1
+                if rho < 1 and term * rho / (1.0 - rho) <= 2.0**-60 * terms[0]:
+                    return math.fsum(terms)
+                term *= ratio
+
+        return _each(tail, k)
 
     def sample(self, rng: np.random.Generator, size=None):
         lam = rng.standard_gamma(self.size, size=size) * (1.0 - self.p) / self.p
         return rng.poisson(lam)
+
+
+def _each(func, k):
+    """func at each entry of k: a float for a number, an array for an array."""
+    k = np.asarray(k, dtype=float)
+    return np.array([func(j) for j in k.flat]).reshape(k.shape)[()]
 
 
 def stationary_intensity(model: FellerModel) -> GammaLaw:

@@ -23,6 +23,7 @@ are bit-identical on any number of CPUs.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import warnings
@@ -463,15 +464,13 @@ def distance_to_stationary(
     check_size("n_paths", n_paths)
     if not isinstance(rng, RngStream):
         raise TypeError("distance_to_stationary requires an RngStream for reproducibility")
-    from scipy import stats
-
     for j, t in enumerate(t_grid):
         check_real(f"t_grid[{j}]", t, least=0)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     nb = stationary_count(model, window)
-    # truncation point with negligible stationary tail
-    k_max = int(stats.nbinom.ppf(1.0 - 1e-12, nb.size, nb.p)) + 5
-    k_max = min(max(k_max, 10), 400)
+    # truncation point: the 1 - 1e-12 quantile plus 5, within [10, 400]
+    k = bisect.bisect_left(range(395), True, key=lambda j: 1.0 - nb.sf(j) >= 1.0 - 1e-12)
+    k_max = max(k + 5, 10)
 
     gamma_law = stationary_intensity(model)
 

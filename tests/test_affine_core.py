@@ -266,9 +266,20 @@ class TestOnePath:
     def test_state_of_the_wrong_length_rejected(self, mu):
         one = solve_transform_ode(FellerModel(1.0, 1.0, 0.5, 1.0), mu, 1.0)
         two = solve_transform_ode(random_affine(np.random.default_rng(5), 2), mu, 1.0)
-        for tc, bad in ((one, [1.0, 2.0]), (two, [1.0]), (two, [1.0, 1.0, 5.0])):
-            with pytest.raises(ValueError, match="state of length"):
+        for tc, bad in ((one, [1.0, 2.0]), (two, [1.0]), (two, [1.0, 1.0, 5.0]),
+                        (two, [[1.0, 2.0]])):
+            with pytest.raises(ValueError, match="^x0 must be a vector of [12] finite numbers"):
                 tc.laplace(bad)
+
+    def test_both_entry_points_reject_a_short_state_alike(self):
+        two = random_affine(np.random.default_rng(5), 2)
+        messages = []
+        for call in (lambda: laplace_hazard(two, 1.0, 1.0, x0=[1.0]),
+                     lambda: solve_transform_ode(two, 1.0, 1.0).laplace([1.0])):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["x0 must be a vector of 2 finite numbers, got [1.0]"] * 2
 
     def test_state_must_be_finite_numbers_of_either_sign(self):
         one = cir_transform_closed_form(FellerModel(1.0, 1.0, 0.5, 1.0), 1.0, 1.0)
@@ -292,7 +303,7 @@ class TestOnePath:
 
         monkeypatch.setattr(affine_core, "solve_transform_ode", solve)
         two = random_affine(np.random.default_rng(5), 2)
-        for bad in ([1.0, math.nan], [math.inf, 0.5], [1.0, True]):
+        for bad in ([1.0, math.nan], [math.inf, 0.5], [1.0, True], [1.0], [1.0, 0.5, 0.2]):
             with pytest.raises(ValueError, match="^x0 must "):
                 laplace_hazard(two, 1.0, 1.0, x0=bad)
 
@@ -352,6 +363,35 @@ class TestAdmissibility:
         bad = check_admissibility(vasicek_model(1.0, 0.01, 0.01))
         assert not bad.condition_b_ok
         assert not bad.ok
+
+    def test_gaussian_margin_against_scipy(self):
+        # the Lyapunov equation as one Kronecker solve and norm.sf by erfc
+        from scipy import linalg, stats
+
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            kappa = np.diag(rng.uniform(0.1, 3.0, d)) + np.triu(rng.normal(0.0, 0.3, (d, d)), 1)
+            sigma = np.diag(rng.uniform(0.05, 1.0, d)) + np.tril(rng.normal(0.0, 0.3, (d, d)), -1)
+            theta = rng.uniform(0.05, 3.0, d)
+            model = AffineModel(dim=d, kappa=kappa, theta=theta, sigma_mat=sigma,
+                                a=np.ones(d), b=np.zeros((d, d)))
+            cov = linalg.solve_continuous_lyapunov(-kappa, -sigma @ sigma.T)
+            gammas = theta / np.sqrt(np.diag(cov))
+            report = check_admissibility(model)
+            assert report.condition_b_gamma == pytest.approx(gammas.min(), rel=1e-12)
+            for i, (gamma, message) in enumerate(zip(gammas, report.messages[d:])):
+                below = stats.norm.sf(gamma)
+                if below < 1e-300:  # erfc keeps the subnormal masses that norm.sf flushes
+                    continue
+                limit = "" if gamma >= 6 else " below threshold 6.0"
+                assert message == (f"factor {i}: Gaussian margin gamma={gamma:.3f}{limit} "
+                                   f"(mass below zero {below:.3g})")
+
+    def test_a_singular_drift_leaves_no_stationary_variance(self):
+        report = check_admissibility(vasicek_model(kappa=0.0))
+        assert not report.condition_b_ok
+        assert report.messages[-1] == "factor 0: stationary variance unavailable"
 
     def test_two_factor_square_root(self):
         model = AffineModel(

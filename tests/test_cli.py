@@ -163,18 +163,10 @@ class TestFit:
         assert params_rows[1] == "parameter,estimate,std_error"
         assert [r.split(",")[0] for r in params_rows[2:]] == ["kappa", "theta", "sigma", "R"]
 
-    def test_fit_starts_no_pool_and_writes_the_same_bytes_on_any_cpus(
-        self, tmp_path, monkeypatch, contexts
-    ):
+    def test_fit_starts_no_pool(self, tmp_path, contexts):
         out = tmp_path / "run"
-        argv = ["fit", "--data", DENSE, "--out", str(out), "--seed", "1"]
-        written = []
-        for cpus in ({0, 1}, {0}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            assert main(argv) == 0
-            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert main(["fit", "--data", DENSE, "--out", str(out), "--seed", "1"]) == 0
         assert contexts == []  # the restart searches run in this process
-        assert written[0] == written[1]
         assert multiprocessing.active_children() == []
 
     def test_echoed_config_reproduces_the_run(self, tmp_path):
@@ -268,7 +260,6 @@ class TestFit:
         report = estimate.StdErrorReport(kappa=None, theta=0.01, sigma=None, R=1e-4,
                                          hessian_warning=True)
         monkeypatch.setattr(estimate, "std_errors", lambda *args: report)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         out = tmp_path / "run"
         assert main(["fit", "--data", DENSE, "--out", str(out), "--seed", "1"]) == 0
         se = json.loads((out / "estimate.json").read_text())["std_errors"]

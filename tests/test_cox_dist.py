@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coxaffine import simulate as sim
 from coxaffine import (
     CountPmf,
     FellerModel,
@@ -288,7 +289,96 @@ class TestStationaryLaws:
         assert np.all(np.abs(avg - ref) < 3.0 * se + 5e-4)
 
 
+def assert_near(got, want):
+    """Within 1e-12 relative of ``want``, or 1e-300 absolute where it is below that."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    tiny = np.abs(want) < 1e-300
+    assert np.all(np.abs(got - want)[tiny] <= 1e-300)
+    rel = np.abs(got - want)[~tiny] / np.abs(want[~tiny])
+    assert rel.size == 0 or rel.max() <= 1e-12, rel.max()
+
+
+class TestLawsAgainstScipy:
+    """The Gamma and negative binomial laws, computed from math.lgamma, with
+    scipy as the oracle."""
+
+    @pytest.mark.parametrize("shape", [*np.geomspace(0.1, 100.0, 10), 1.0], ids="{:.3g}".format)
+    def test_gamma_pdf(self, shape):
+        for rate in np.geomspace(0.1, 10.0, 5):
+            law = GammaLaw(shape, rate)
+            spread = 12.0 * math.sqrt(shape) / rate
+            x = np.concatenate([[-1.0, -1e-300, 1e-300], np.geomspace(1e-8, law.mean + spread, 80),
+                                np.linspace(0.0, law.mean + spread, 80)[1:]])
+            assert_near(law.pdf(x), stats.gamma.pdf(x, a=shape, scale=1.0 / rate))
+
+    def test_gamma_pdf_at_zero_and_infinity(self):
+        for shape, at0 in ((0.5, math.inf), (1.0, 2.0), (2.0, 0.0)):
+            assert GammaLaw(shape, 2.0).pdf(0.0) == at0 == stats.gamma.pdf(0.0, a=shape, scale=0.5)
+            assert GammaLaw(shape, 2.0).pdf(math.inf) == 0.0
+        assert GammaLaw(2.0, 2.0).pdf([[-1.0, 0.0]]).tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("size", np.geomspace(0.1, 100.0, 10), ids="{:.3g}".format)
+    def test_negbin_pmf_and_sf(self, size):
+        k = np.append(np.arange(201), [2.5, -1.0, -0.5])
+        at = np.array([-1.0, 0.0, 3.0, 20.0, 100.0, 199.0, 2.5])
+        for p in np.linspace(0.02, 0.98, 9):
+            law = NegBinLaw(size, p)
+            assert_near(law.pmf(k), stats.nbinom.pmf(k, size, p))
+            assert_near(law.sf(at), stats.nbinom.sf(at, size, p))
+
+    def test_negbin_edges(self):
+        law = NegBinLaw(2.5, 0.3)
+        assert law.pmf(2.5) == law.pmf(-1) == 0.0
+        assert law.sf(-1) == law.sf(-0.5) == 1.0
+        assert law.sf(2.5) == law.sf(2)
+        assert law.sf(math.inf) == 0.0 and math.isnan(law.sf(math.nan))
+        assert law.pmf(np.arange(6).reshape(2, 3)).shape == (2, 3)
+        # far beyond the mass the tail and the density are 0, not a stall
+        assert law.sf(1e6) == 0.0 == law.pmf(1e6)
+        # p_0 = 2^-2000 underflows, so the walk restarts from lgamma; the
+        # cancellation in lgamma(k + 2000) - lgamma(2000) costs digits here
+        assert np.allclose(NegBinLaw(2000.0, 0.5).sf([0.0, 1500.0]),
+                           stats.nbinom.sf([0, 1500], 2000, 0.5), rtol=1e-11, atol=0.0)
+
+    def test_laws_store_python_floats(self):
+        gamma = GammaLaw(np.float32(2.5), np.int64(3))
+        nb = NegBinLaw(np.float32(2.5), np.float32(0.3))
+        for value in (gamma.shape, gamma.rate, nb.size, nb.p):
+            assert type(value) is float
+        assert nb.p == float(np.float32(0.3))
+
+
 class TestApproachToStationarity:
+    @staticmethod
+    def truncation_point(model, window, monkeypatch):
+        """distance_to_stationary's k_max, caught at its first Monte Carlo call."""
+
+        class Caught(Exception):
+            pass
+
+        def stop(*args):
+            raise Caught(args[5])
+
+        monkeypatch.setattr(sim, "_averaged_conditional_pmf", stop)
+        with pytest.raises(Caught) as info:
+            distance_to_stationary(model, [0.0], 1, RngStream(0), window=window)
+        return info.value.args[0]
+
+    def test_truncation_point_is_scipys(self, monkeypatch):
+        # the least k with cdf(k) >= 1 - 1e-12, plus 5, held to [10, 400]
+        assert self.truncation_point(BASE, 1.0, monkeypatch) == 18 + 5
+        # a mean count of 1000 takes the cap
+        assert self.truncation_point(FellerModel(1.0, 100.0, 1.0), 10.0, monkeypatch) == 400
+        rng = np.random.default_rng(606)
+        for _ in range(200):
+            kappa, theta, sigma, window = np.exp(rng.uniform(np.log([0.01, 0.01, 0.01, 0.1]),
+                                                             np.log([10.0, 100.0, 3.0, 10.0])))
+            model = FellerModel(kappa, theta, sigma, 1.0)
+            nb = stationary_count(model, window)
+            want = min(max(int(stats.nbinom.ppf(1.0 - 1e-12, nb.size, nb.p)) + 5, 10), 400)
+            assert self.truncation_point(model, window, monkeypatch) == want, model
+
     def test_rate_is_twice_kappa(self):
         assert convergence_rate(FellerModel(0.2, 1.0, 0.3, 1.0)) == pytest.approx(0.4)
 

@@ -53,6 +53,7 @@ from coxaffine import (
     stationary_count,
     to_observable,
 )
+from coxaffine._inputs import is_real
 from coxaffine.data_io import _config_value
 
 MODEL = FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=1.0)
@@ -286,6 +287,8 @@ SCALARS = [
     scalar("GammaLaw", "shape", lambda v: GammaLaw(v, 1.0), above=0),
     scalar("GammaLaw", "rate", lambda v: GammaLaw(1.0, v), above=0),
     scalar("NegBinLaw", "size", lambda v: NegBinLaw(v, 0.5), above=0),
+    # p < 1, so each number is halved: the table's valid 1 stands for p = 0.5
+    scalar("NegBinLaw", "p", lambda v: NegBinLaw(1.0, v / 2 if is_real(v) else v), above=0),
     scalar("stationary_count", "window", lambda v: stationary_count(MODEL, v), above=0),
     scalar("distance_to_stationary", "t_grid",
            lambda v: distance_to_stationary(MODEL, [0.0, v], 64, RngStream(1)), least=0,
@@ -335,6 +338,14 @@ def test_a_jet_mu_is_read_by_its_value():
     for value in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="^mu must be a finite number"):
             solve_transform_ode(MODEL, Jet.variable(value, 2), 1.0)
+
+
+def test_a_negbin_p_is_below_1():
+    for bad in (1.0, 1, np.float32(1.5)):
+        with pytest.raises(ValueError, match="^p must be below 1"):
+            NegBinLaw(1.0, bad)
+    with pytest.raises(ValueError, match="^p must be a finite number > 0, got '0.5'"):
+        NegBinLaw(size=1.0, p="0.5")
 
 
 def test_each_time_of_the_grid_is_named_by_its_index():

@@ -6,11 +6,12 @@ benchmark tracer reads them too), and the package exports their union.
 Intra-package imports sit at module level and follow the rule that README's
 Layout states: a module imports only ``_backend`` and the modules listed
 above it, ``jets``, ``_inputs`` and ``_backend`` import no package module,
-and ``data_io`` imports only ``_inputs``.  scipy loads only inside the functions that use
-it, so the package imports, and every CLI command runs, without loading any
-scipy module; ``fit`` and ``validate`` too, since the Ljung-Box p-value is
-computed in the package.  Importing the CLI starts no process,
-and ``validate``'s worker pool does not outlive the command.
+and ``data_io`` imports only ``_inputs``.  The package never imports scipy,
+which serves the tests only: no module names it, numpy is the one runtime
+dependency, and with every scipy import blocked the package imports, its
+count laws, truncation point and Gaussian margin run, and so does every CLI
+command.  No command loads a scipy module either.  Importing the CLI starts
+no process, and ``validate``'s worker pool does not outlive the command.
 ``concurrent.futures`` loads only inside the Monte Carlo block loop, so
 importing the CLI and running ``simulate`` or ``pmf`` never loads it.
 """
@@ -23,6 +24,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coxaffine
 from coxaffine import affine_core, cox_dist, data_io, estimate, simulate
@@ -172,3 +175,83 @@ def test_no_cli_command_loads_scipy(tmp_path):
         assert "scipy.stats" not in seen[name], seen[name]
         assert "scipy.optimize" not in seen[name], seen[name]
         assert seen[name] == [], seen[name]
+
+
+def test_no_package_module_names_scipy():
+    for name, path in MODULES.items():
+        assert "scipy" not in path.read_text().lower(), f"{name}.py names scipy"
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
+
+
+# run at start-up by the probe and by each worker it spawns
+_BLOCKER = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+_WITHOUT_SCIPY = """
+import json, sys
+try:
+    import scipy
+    raise SystemExit("scipy was not blocked")
+except ImportError:
+    pass
+from coxaffine import (AffineModel, FellerModel, GammaLaw, NegBinLaw, RngStream,
+                       check_admissibility, cli, distance_to_stationary)
+
+model = FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=3.0)
+seen = {
+    "pdf": GammaLaw(8.0, 8.0).pdf([0.0, 0.5, 1.0]).tolist(),
+    "pmf": NegBinLaw(8.0, 8.0 / 9.0).pmf([0, 1, 2]).tolist(),
+    "sf": float(NegBinLaw(8.0, 8.0 / 9.0).sf(3)),
+    "slope": distance_to_stationary(model, [0.05, 0.6, 1.2], 2000, RngStream(11)).slope,
+    "margin": check_admissibility(AffineModel(dim=1, kappa=[[1.0]], theta=[0.05],
+                                              sigma_mat=[[0.01]], a=[1.0], b=[[0.0]])).ok,
+}
+for name, argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, name
+seen["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(seen))
+"""
+
+
+def test_the_package_runs_with_scipy_blocked(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({"kind": "feller", "kappa": 1.0, "theta": 1.0, "sigma": 0.5, "lambda0": 1.0})
+    )
+    sparse = Path(__file__).resolve().parent / "fixtures" / "events_sparse_535.csv"
+    out = str(tmp_path / "out")
+    commands = [
+        ["simulate", ["simulate", "--model", str(model), "--out", out, "--len", "5"]],
+        ["pmf", ["pmf", "--model", str(model), "--out", out, "--kmax", "20"]],
+        ["fit", ["fit", "--data", str(sparse), "--out", out, "--seed", "1"]],
+        ["validate", ["validate", "--model", str(model), "--out", out, "--reps", "2", "--len", "30",
+                      "--jobs", "2"]],
+    ]
+    (tmp_path / "sitecustomize.py").write_text(_BLOCKER)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(PACKAGE.parent)])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["scipy"] == []
+    assert seen["pdf"][1:] == cox_dist.GammaLaw(8.0, 8.0).pdf([0.5, 1.0]).tolist()
+    assert seen["pmf"] == cox_dist.NegBinLaw(8.0, 8.0 / 9.0).pmf([0, 1, 2]).tolist()
+    assert seen["sf"] == cox_dist.NegBinLaw(8.0, 8.0 / 9.0).sf(3)
+    assert seen["slope"] < 0 and seen["margin"] is True
