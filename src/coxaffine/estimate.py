@@ -357,7 +357,7 @@ def _nelder_mead(
 ) -> _Search:
     """Minimize ``f`` over Python lists of floats with a Nelder-Mead simplex.
 
-    This is the unbounded, non-adaptive recursion of the tests' reference Nelder-Mead
+    This is the unbounded, non-adaptive recursion of scipy's Nelder-Mead
     (reflection 1, expansion 2, contraction and shrink 0.5), with its initial
     simplex (each coordinate of x0 scaled by 1.05, or set to 0.00025 where
     it is 0), its row-by-row centroid, its ``_XATOL``/``_FATOL`` test and its
@@ -367,7 +367,7 @@ def _nelder_mead(
     With ``frtol`` the search also stops, at the same test point, once the
     simplex's values spread by at most ``frtol * max(1, |best|)``: a loose
     stop on the objective alone, which ``fit`` uses for its restarts.
-    Without it the search is the reference's.
+    Without it the search is scipy's.
     """
     n = len(x0)
     sim = [list(x0)]
@@ -386,7 +386,7 @@ def _nelder_mead(
         return f(x)
 
     def line(xbar, worst, t):
-        # the point xbar + t (xbar - worst), in the reference's operation order
+        # the point xbar + t (xbar - worst), in scipy's operation order
         return [(1 + t) * a - t * b for a, b in zip(xbar, worst)]
 
     def ordered(sim, fsim):

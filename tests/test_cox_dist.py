@@ -5,9 +5,11 @@ hand-rolled trapezoid accumulation, so the pmf/moment code under test and
 the oracle share no transform or jet machinery.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -299,6 +301,22 @@ def assert_near(got, want):
     assert rel.size == 0 or rel.max() <= 1e-12, rel.max()
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, where the block runs past the limit."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestLawsAgainstScipy:
     """The Gamma and negative binomial laws, computed from math.lgamma, with
     scipy as the oracle."""
@@ -322,7 +340,7 @@ class TestLawsAgainstScipy:
     def test_negbin_pmf_and_sf(self, size):
         k = np.append(np.arange(201), [2.5, -1.0, -0.5])
         at = np.array([-1.0, 0.0, 3.0, 20.0, 100.0, 199.0, 2.5])
-        for p in np.linspace(0.02, 0.98, 9):
+        for p in [*np.linspace(0.02, 0.98, 9), 1e-3, 1e-4]:
             law = NegBinLaw(size, p)
             assert_near(law.pmf(k), stats.nbinom.pmf(k, size, p))
             assert_near(law.sf(at), stats.nbinom.sf(at, size, p))
@@ -336,10 +354,25 @@ class TestLawsAgainstScipy:
         assert law.pmf(np.arange(6).reshape(2, 3)).shape == (2, 3)
         # far beyond the mass the tail and the density are 0, not a stall
         assert law.sf(1e6) == 0.0 == law.pmf(1e6)
-        # p_0 = 2^-2000 underflows, so the walk restarts from lgamma; the
-        # cancellation in lgamma(k + 2000) - lgamma(2000) costs digits here
+        # p_0 = 2^-2000 underflows, and the cancellation in
+        # lgamma(k + 2000) - lgamma(2000) costs digits here
         assert np.allclose(NegBinLaw(2000.0, 0.5).sf([0.0, 1500.0]),
                            stats.nbinom.sf([0, 1500], 2000, 0.5), rtol=1e-11, atol=0.0)
+
+    def test_sf_work_does_not_grow_with_the_mean(self):
+        # mean counts up to 1e300, where 1 - p rounds to 1
+        k = np.array([0.0, 3.0, 394.0])
+        with time_limit(5.0):
+            for p in (1e-5, 1e-10, 1e-17, 1e-300):
+                # size 1 is the geometric law: P(N > k) = (1 - p)^(k + 1)
+                assert_near(NegBinLaw(1.0, p).sf(k), np.exp((k + 1) * math.log1p(-p)))
+                assert_near(NegBinLaw(2.5, p).sf(k), stats.nbinom.sf(k, 2.5, p))
+                # far out, the lgamma difference in log p_k and the fraction's
+                # steps near x = 1 lose about k log k eps: 1.6e-9 relative at
+                # k = 1e6, size 2.5, p = 1e-5
+                for size in (1.0, 2.5):
+                    far = NegBinLaw(size, p).sf(1e6)
+                    assert far == pytest.approx(stats.nbinom.sf(1e6, size, p), rel=1e-8, abs=0.0)
 
     def test_laws_store_python_floats(self):
         gamma = GammaLaw(np.float32(2.5), np.int64(3))
@@ -370,6 +403,11 @@ class TestApproachToStationarity:
         assert self.truncation_point(BASE, 1.0, monkeypatch) == 18 + 5
         # a mean count of 1000 takes the cap
         assert self.truncation_point(FellerModel(1.0, 100.0, 1.0), 10.0, monkeypatch) == 400
+        # and so, at once, does p = rate / (rate + window) of 2e-7, 2e-17 or 2e-303
+        with time_limit(5.0):
+            for window in (1e4, 1e14, 1e300):
+                model = FellerModel(1e-3, 1.0, 1.0, 1.0)
+                assert self.truncation_point(model, window, monkeypatch) == 400
         rng = np.random.default_rng(606)
         for _ in range(200):
             kappa, theta, sigma, window = np.exp(rng.uniform(np.log([0.01, 0.01, 0.01, 0.1]),

@@ -7,7 +7,7 @@ Intra-package imports sit at module level and follow the rule that README's
 Layout states: a module imports only ``_backend`` and the modules listed
 above it, ``jets``, ``_inputs`` and ``_backend`` import no package module,
 and ``data_io`` imports only ``_inputs``.  The package never imports scipy,
-which serves the tests only: no module names it, numpy is the one runtime
+which serves the tests only: no module imports it, numpy is the one runtime
 dependency, and with every scipy import blocked the package imports, its
 count laws, truncation point and Gaussian margin run, and so does every CLI
 command.  No command loads a scipy module either.  Importing the CLI starts
@@ -177,9 +177,16 @@ def test_no_cli_command_loads_scipy(tmp_path):
         assert seen[name] == [], seen[name]
 
 
-def test_no_package_module_names_scipy():
+def test_no_package_module_imports_scipy():
     for name, path in MODULES.items():
-        assert "scipy" not in path.read_text().lower(), f"{name}.py names scipy"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                tops = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            assert "scipy" not in tops, f"{name}.py imports scipy at line {node.lineno}"
 
 
 def test_numpy_is_the_one_runtime_dependency():
