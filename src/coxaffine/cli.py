@@ -234,6 +234,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "summary": rows,
         "n_requested": summary.n_requested,
         "n_failed": summary.n_failed,
+        "failures": [{"replication": rep, "error": err} for rep, err in summary.failures],
         "n_converged": int(summary.converged.sum()),
         "ljung_box_pass_rate": float(summary.lb_passed.mean()),
     }

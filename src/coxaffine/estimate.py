@@ -67,10 +67,12 @@ _OBSERVABLE_MEASUREMENT = {
 # the intensity's three, then the measurement noise
 PARAM_NAMES = ("kappa", "theta", "sigma", "R")
 _MIN_OBS = 20
-_PERTURB_SCALE = 0.7  # restart offsets in log-parameters, times a standard normal
+# restart offsets in log-parameters, log R included, times a standard normal
+_PERTURB_SCALE = 0.7
 _XATOL = 1e-8  # stopping tolerances of _nelder_mead, the in-house simplex (stable tie order)
 _FATOL = 1e-10
-_LOOSE_FRTOL = 1e-6  # a restart search also stops at this simplex spread, relative to max(1, |f|)
+_LOOSE_SPREAD = 1.0  # a restart search also stops once its simplex values spread by this many nats
+_R_MAX = math.exp(50.0)  # the search box: |log kappa|, |log theta|, |log sigma| <= 50, |R| <= e^50
 _REL_STEP = 1e-4  # Hessian step relative to max(1, |x|)
 _LB_ALPHA = 0.05  # Ljung-Box level
 _EXP_NORMAL = 700.0  # e^{-h} is a normal float, good to an ulp, for h below this
@@ -311,23 +313,33 @@ def kalman_filter(
 _PENALTY = 1e12
 
 
-def _objective(y: np.ndarray, spec: StateSpaceSpec):
-    """Negative quasi log-likelihood over log-parameters, bound to one series.
+def _search_params(x: Sequence[float]) -> tuple:
+    """The parameters (kappa, theta, sigma, R) at a search point
+    (log kappa, log theta, log sigma, R), as floats; R is |x_R|."""
+    # numpy's exp, not math.exp: the two can differ in the last bit
+    return (*np.exp(x[:3]).tolist(), abs(float(x[3])))
 
-    Each evaluation takes x as a sequence of four floats, maps it to
-    coefficients as floats and runs the filter kernel over ``y.tolist()``
-    without per-step output; the value equals ``-kalman_filter(...).loglik``
-    bit for bit.  Points outside |x| <= 50, and points where the filter fails,
-    score ``_PENALTY``.  Inside the box exp(x) is finite and positive, so the
+
+def _objective(y: np.ndarray, spec: StateSpaceSpec):
+    """Negative quasi log-likelihood over search points, bound to one series.
+
+    Each evaluation takes x = (log kappa, log theta, log sigma, R) as a
+    sequence of four floats, maps it to coefficients as floats and runs the
+    filter kernel over ``y.tolist()`` without per-step output; the value
+    equals ``-kalman_filter(...).loglik`` at R = |x_R| bit for bit.  The
+    coefficients hold R only as R^2, so the value is even in x_R and
+    quadratic at 0: a search reaches R = 0 in a few steps, where under log R
+    the objective is flat towards minus infinity.  Points outside the box
+    (|log rate| <= 50, |R| <= e^50), and points where the filter fails, score
+    ``_PENALTY``.  Inside the box the rates are finite and positive, so the
     parameters need no ``FellerModel`` validation.
     """
     ys = y.tolist()
 
     def neg_loglik(x: Sequence[float]) -> float:
-        if any(abs(v) > 50.0 for v in x):
+        if any(abs(v) > 50.0 for v in x[:3]) or abs(x[3]) > _R_MAX:
             return _PENALTY
-        # numpy's exp, not math.exp: the two can differ in the last bit
-        kappa, theta, sigma, R = np.exp(x).tolist()
+        kappa, theta, sigma, R = _search_params(x)
         try:
             ll, err = filter_kernel(ys, *_filter_coeffs(kappa, theta, sigma, R, spec))
         except (ValueError, OverflowError):  # math domain and range errors
@@ -353,7 +365,7 @@ class _Search(NamedTuple):
 
 
 def _nelder_mead(
-    f, x0: Sequence[float], maxiter: int, maxfev: int, frtol: Optional[float] = None
+    f, x0: Sequence[float], maxiter: int, maxfev: int, abs_spread: Optional[float] = None
 ) -> _Search:
     """Minimize ``f`` over Python lists of floats with a Nelder-Mead simplex.
 
@@ -364,9 +376,10 @@ def _nelder_mead(
     ``maxiter``/``maxfev`` accounting, an exhausted budget stopping the search
     even in the middle of a shrink.  Vertices are ordered by (value, index).
 
-    With ``frtol`` the search also stops, at the same test point, once the
-    simplex's values spread by at most ``frtol * max(1, |best|)``: a loose
-    stop on the objective alone, which ``fit`` uses for its restarts.
+    With ``abs_spread`` the search also stops, at the same test point, once
+    the simplex's values spread by at most ``abs_spread``, an absolute
+    spread (nats, for the QML objective) whatever the size of the values: a
+    loose stop on the objective alone, which ``fit`` uses for its restarts.
     Without it the search is scipy's.
     """
     n = len(x0)
@@ -407,7 +420,7 @@ def _nelder_mead(
             abs(fbest - fv) <= _FATOL for fv in fsim[1:]
         ):
             break
-        if frtol is not None and fsim[-1] - fbest <= frtol * max(1.0, abs(fbest)):
+        if abs_spread is not None and fsim[-1] - fbest <= abs_spread:
             break
         try:
             xbar = list(best)
@@ -511,17 +524,22 @@ def fit(
 ) -> EstimationResult:
     """Maximize the quasi log-likelihood over (kappa, theta, sigma, R).
 
-    Optimization runs in log-parameter space (so estimates stay positive)
-    with ``_nelder_mead``, the package's own simplex search.  The searches
-    are derivative-free; the floor on the filtered mean makes the objective
-    only piecewise smooth.  The search orders tied vertex values by vertex
-    index, so the fitted bits do not depend on the machine's sort.
+    Optimization runs over (log kappa, log theta, log sigma, R) (so the
+    rates stay positive) with ``_nelder_mead``, the package's own simplex
+    search.  The objective is even in the R coordinate and the estimate is
+    R = |x_R|, so a noise level at its boundary is reached at R = 0 rather
+    than walked towards by log R.  The searches are derivative-free; the
+    floor on the filtered mean makes the objective only piecewise smooth.
+    The search orders tied vertex values by vertex index, so the fitted bits
+    do not depend on the machine's sort.
 
-    All starting points are drawn first, from one generator of ``rng``: the
-    initial point and ``options.n_restarts`` random restarts around it.
-    One objective, built once, serves every search.  The restart searches
-    run one after another, in restart order, each stopping loosely, once
-    the simplex's values agree to 1e-6 relative.  The best finite search is
+    All starting points are drawn first, in log space, from one generator of
+    ``rng``: the initial point and ``options.n_restarts`` random restarts
+    around it; each start's log R is then mapped to R.  One objective, built
+    once, serves every search.  The restart searches run one after another,
+    in restart order, each stopping loosely, once the simplex's values agree
+    to ``_LOOSE_SPREAD`` nats, far inside the 8-75 nat gaps between the
+    basins that the restarts tell apart.  The best finite search is
     picked in restart order, the first of a tie winning.  One strict search
     from a fresh simplex at the winner then polishes it: the winner is that
     simplex's first vertex, so the polish can only improve on it, and it
@@ -548,14 +566,15 @@ def fit(
     maxiter = options.maxiter
     best = None
     for x in starts:
-        res = _nelder_mead(objective, x.tolist(), maxiter, 4 * maxiter, _LOOSE_FRTOL)
+        start = [*x[:3].tolist(), float(np.exp(x[3]))]
+        res = _nelder_mead(objective, start, maxiter, 4 * maxiter, _LOOSE_SPREAD)
         if res.fun < _PENALTY and (best is None or res.fun < best.fun):
             best = res
     if best is None:
         raise EstimationError("no optimizer run produced a finite quasi log-likelihood")
     best = _nelder_mead(objective, best.x, maxiter, 4 * maxiter)
 
-    kappa, theta, sigma, R = np.exp(best.x)
+    kappa, theta, sigma, R = _search_params(best.x)
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
     diameter = max(abs(a - b) for v in best.simplex for a, b in zip(v, best.x))
     converged = best.success or diameter < _XATOL
@@ -602,8 +621,10 @@ def std_errors(
     log-likelihood at the optimum.
 
     The Hessian is computed by central differences in log-parameter space,
-    with step 1e-4 * max(1, |x|) per coordinate, and mapped to the natural
-    scale by the delta method.  A Hessian that is not positive definite is
+    all four parameters R included, with step 1e-4 * max(1, |x|) per
+    coordinate, and mapped to the natural scale by the delta method.  Each
+    difference point's log R is mapped to R before the objective, which
+    takes R itself.  A Hessian that is not positive definite is
     flagged and handled with a pseudo-inverse rather than treated as fatal,
     and a parameter left without a finite positive variance gets SE None.
     Under the pseudo-inverse a log-variance at or below n * eps times the
@@ -616,7 +637,7 @@ def std_errors(
     objective = _objective(y, spec)
 
     def f(xv):
-        v = objective(xv.tolist())
+        v = objective([*xv[:3].tolist(), float(np.exp(xv[3]))])
         return math.nan if v >= _PENALTY else -v
 
     f0 = f(x)
@@ -783,7 +804,7 @@ class ReplicationSummary:
     lb_passed: np.ndarray  # Ljung-Box clean residuals per replication
     n_requested: int
     n_failed: int
-    failures: tuple
+    failures: tuple  # (replication, error message) per failed replication, in order
 
     def mean_estimates(self) -> np.ndarray:
         return self.estimates.mean(axis=0)

@@ -18,7 +18,7 @@ from coxaffine import (
     simulate_arrivals,
     simulate_path,
 )
-from coxaffine import data_io, estimate
+from coxaffine import cli, data_io, estimate
 from coxaffine.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -270,7 +270,33 @@ class TestFit:
             ("kappa", ""), ("theta", "0.01"), ("sigma", ""), ("R", "0.0001")]
 
 
+class FailingStream(RngStream):
+    """A root stream under which replication 2's fit fails as it draws its
+    starting points; module level, so that spawned workers import it."""
+
+    def spawn(self, i):
+        return FailingStream(self.seed, self.stream_id, self.key + (int(i),))
+
+    def generator(self):
+        if self.key[1:] == (2, 1):
+            raise ValueError("forced failure")
+        return super().generator()
+
+
 class TestValidate:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_replications_are_named(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "RngStream", FailingStream)
+        model = write_model(tmp_path, DESK_MODEL)
+        out = tmp_path / "run"
+        argv = ["validate", "--model", model, "--out", str(out), "--reps", "4", "--len", "40",
+                "--jobs", jobs]
+        assert main(argv) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["n_failed"] == 1
+        assert doc["failures"] == [{"replication": 2, "error": "forced failure"}]
+        assert len((out / "estimates.csv").read_text().splitlines()) == 2 + 3
+
     def test_artifacts_and_parallel_determinism(self, tmp_path):
         model = write_model(tmp_path, DESK_MODEL)
         out = tmp_path / "run"
@@ -295,7 +321,7 @@ class TestValidate:
                 assert (out / name).read_bytes() == (snap / name).read_bytes(), (jobs, name)
             assert multiprocessing.active_children() == []
         doc = json.loads((out / "summary.json").read_text())
-        assert doc["n_requested"] == 6 and doc["n_failed"] == 0
+        assert doc["n_requested"] == 6 and doc["n_failed"] == 0 and doc["failures"] == []
         est_rows = [
             ln for ln in (out / "estimates.csv").read_text().splitlines()
             if ln and not ln.startswith("#")

@@ -40,7 +40,7 @@ from coxaffine import (
 from coxaffine import data_io, estimate
 from coxaffine.estimate import (
     _FATOL,
-    _LOOSE_FRTOL,
+    _LOOSE_SPREAD,
     _MIN_OBS,
     _PENALTY,
     _XATOL,
@@ -288,17 +288,18 @@ class TestFit:
         opts = FitOptions(n_restarts=4, maxiter=20)
         calls = []
 
-        def recorded(f, x0, maxiter, maxfev, frtol=None):
-            calls.append((f, x0, maxiter, maxfev, frtol))
-            return _nelder_mead(f, x0, maxiter, maxfev, frtol)
+        def recorded(f, x0, maxiter, maxfev, abs_spread=None):
+            calls.append((f, x0, maxiter, maxfev, abs_spread))
+            return _nelder_mead(f, x0, maxiter, maxfev, abs_spread)
 
         monkeypatch.setattr(estimate, "_nelder_mead", recorded)
         fit(y, spec, init=DESK, R_init=2e-3, options=opts, rng=RngStream(607))
+        # drawn in log space, then each start's log R mapped to R
         x0 = np.log([DESK.kappa, DESK.theta, DESK.sigma, 2e-3])
         gen = RngStream(607).generator()
-        expected = [x0.tolist()]
-        expected += [(x0 + 0.7 * gen.standard_normal(4)).tolist() for _ in range(4)]
-        loose = [c for c in calls if c[4] == _LOOSE_FRTOL]
+        logs = [x0] + [x0 + 0.7 * gen.standard_normal(4) for _ in range(4)]
+        expected = [[*x[:3].tolist(), float(np.exp(x[3]))] for x in logs]
+        loose = [c for c in calls if c[4] == _LOOSE_SPREAD]
         assert [x for _, x, _, _, _ in loose] == expected
         assert all(c[2:4] == (20, 80) for c in calls)
         assert all(c[0] is calls[0][0] for c in calls)  # one objective serves every search
@@ -307,9 +308,9 @@ class TestFit:
         y, spec = self.make_series(100)
         searches, polishes = [], []
 
-        def recorded(f, x0, maxiter, maxfev, frtol=None):
-            res = _nelder_mead(f, x0, maxiter, maxfev, frtol)
-            (searches if frtol == _LOOSE_FRTOL else polishes).append(res)
+        def recorded(f, x0, maxiter, maxfev, abs_spread=None):
+            res = _nelder_mead(f, x0, maxiter, maxfev, abs_spread)
+            (searches if abs_spread == _LOOSE_SPREAD else polishes).append(res)
             return res
 
         monkeypatch.setattr(estimate, "_nelder_mead", recorded)
@@ -319,7 +320,8 @@ class TestFit:
         polish = _nelder_mead(_objective(y, spec), winner.x, 2000, 8000)
         assert polishes == [polish]
         assert polish.fun <= winner.fun  # the winner is the polish's first vertex
-        assert list(res.estimates) == np.exp(polish.x).tolist()
+        *log_rates, x_R = polish.x
+        assert list(res.estimates) == [*np.exp(log_rates).tolist(), abs(x_R)]
         assert res.loglik == -polish.fun
         assert res.converged == polish.success
 
@@ -330,8 +332,8 @@ class TestFit:
         values = (_PENALTY, 5.0, 3.0, 4.0, 3.0, 3.5)
         starts, polished_from = [], []
 
-        def scripted(f, x0, maxiter, maxfev, frtol=None):
-            if frtol == _LOOSE_FRTOL:
+        def scripted(f, x0, maxiter, maxfev, abs_spread=None):
+            if abs_spread == _LOOSE_SPREAD:
                 starts.append(x0)
                 return estimate._Search(x0, values[len(starts) - 1], 1, 1, True, [x0])
             polished_from.append(x0)
@@ -343,8 +345,9 @@ class TestFit:
         assert polished_from == [starts[2]]
 
     def test_a_fit_makes_few_kernel_calls(self, monkeypatch):
-        # six loose searches and one strict polish; six strict searches made
-        # 4,137 calls on this series
+        # six loose searches and one strict polish; six strict searches over
+        # log R made 4,137 calls on this series, and a stop at 1e-6 relative
+        # spread 1,461
         calls = []
         kernel = estimate.filter_kernel
 
@@ -355,7 +358,18 @@ class TestFit:
         monkeypatch.setattr(estimate, "filter_kernel", counted)
         y, spec = self.make_series(100)
         fit(y, spec, init=DESK, rng=RngStream(606))
-        assert len(calls) < 2000
+        assert len(calls) < 1000
+
+    def test_a_noise_level_at_its_boundary_reaches_zero(self):
+        # on this series the noise level's estimate lies at its boundary: the
+        # search reaches R near 0, which no longer moves the loglik, so the
+        # Hessian leaves R no variance and its SE is written as null
+        y, spec = self.make_series(100)
+        res = fit(y, spec, init=DESK, rng=RngStream(606))
+        assert 0.0 <= res.R < 1e-6
+        doc = json.loads(json.dumps(res.as_dict()))
+        assert doc["std_errors"]["R"] is None and doc["std_errors"]["hessian_warning"]
+        assert all(doc["std_errors"][p] > 0.0 for p in PARAM_NAMES[:3])
 
     def test_std_errors_direct_call(self):
         y, spec = self.make_series(800)
@@ -376,8 +390,8 @@ class TestFit:
         x_hat = np.log([DESK.kappa, DESK.theta, DESK.sigma, 1e-3])
 
         def quadratic(y, spec):
-            def neg_loglik(x):
-                d = np.asarray(x) - x_hat
+            def neg_loglik(x):  # at a search point, R in its fourth coordinate
+                d = np.array([*x[:3], math.log(x[3])]) - x_hat
                 return 0.5 * float(d @ A @ d)
 
             return neg_loglik
@@ -441,7 +455,7 @@ class TestNelderMead:
     def test_matches_scipy_on_the_qml_objective(self):
         # near its optimum the objective repeats values, so the run stops
         # after 150 iterations, well before the first repeat
-        x0 = np.log([DESK.kappa, DESK.theta, DESK.sigma, 1e-3]).tolist()
+        x0 = [*np.log([DESK.kappa, DESK.theta, DESK.sigma]).tolist(), 1e-3]
         res = self.compare(self.desk_objective(), x0, 150, 8000)
         assert res.nit == 150 and not res.success
 
@@ -467,16 +481,20 @@ class TestNelderMead:
         res = self.compare(f, x0, 2000, 4 + 2 + done)
         assert res.nfev == 6 + done and res.nit == 1 and not res.success
 
-    def test_the_loose_stop_ends_at_the_spread_of_its_tolerance(self):
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_the_loose_stop_ends_at_the_spread_of_its_tolerance(self, offset):
+        # the spread is absolute: at |f| near 1e6 the search stops as it
+        # does near 0, where a stop relative to |f| would have come sooner
+        f = lambda x: offset + 100.0 * self.quadratic(x)
         x0 = [-1.2, 1.0, 0.0, 0.8]
-        loose = _nelder_mead(self.quadratic, x0, 2000, 8000, _LOOSE_FRTOL)
-        spread = lambda s: max(map(self.quadratic, s.simplex)) - min(map(self.quadratic, s.simplex))
+        loose = _nelder_mead(f, x0, 2000, 8000, _LOOSE_SPREAD)
+        spread = lambda s: max(map(f, s.simplex)) - min(map(f, s.simplex))
         # cut at the loose search's iteration count, the strict search holds
         # the same simplex: the loose one stopped there, not an iteration sooner
-        assert _nelder_mead(self.quadratic, x0, loose.nit, 8000).simplex == loose.simplex
-        assert spread(loose) <= _LOOSE_FRTOL * max(1.0, abs(loose.fun))
-        assert spread(_nelder_mead(self.quadratic, x0, loose.nit - 1, 8000)) > _LOOSE_FRTOL
-        strict = _nelder_mead(self.quadratic, x0, 2000, 8000)
+        assert _nelder_mead(f, x0, loose.nit, 8000).simplex == loose.simplex
+        assert spread(loose) <= _LOOSE_SPREAD
+        assert spread(_nelder_mead(f, x0, loose.nit - 1, 8000)) > _LOOSE_SPREAD
+        strict = _nelder_mead(f, x0, 2000, 8000)
         assert strict.success and strict.nit > loose.nit and loose.success
         assert strict.fun < loose.fun
 

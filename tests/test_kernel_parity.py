@@ -267,15 +267,19 @@ def test_one_log_call_per_pass(monkeypatch, T, swinging):
     st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
 )
 def test_objective_is_minus_kalman_loglik(spec_index, T, shift):
+    # the search point is (log kappa, log theta, log sigma, R), R of either
+    # sign: the objective is even in R, bit for bit
     spec = SPECS[spec_index]
     y = estimate.simulate_observations(DESK, 1e-3, spec, T, RngStream(spec_index * 100 + T))
-    x = np.log([DESK.kappa, DESK.theta, DESK.sigma, 1e-3]) + np.array(shift)
-    value = estimate._objective(y, spec)(x)
+    x = [*(np.log([DESK.kappa, DESK.theta, DESK.sigma]) + shift[:3]).tolist(), 1e-3 * shift[3]]
+    objective = estimate._objective(y, spec)
+    value = objective(x)
+    assert same_bits(value, objective([*x[:3], -x[3]]))
     if value >= estimate._PENALTY:
         return
-    kappa, theta, sigma, R = np.exp(x)
+    kappa, theta, sigma = np.exp(x[:3])
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
-    assert same_bits(value, -kalman_filter(params, R, y, spec).loglik)
+    assert same_bits(value, -kalman_filter(params, abs(x[3]), y, spec).loglik)
 
 
 def test_objective_penalizes_outside_the_box_and_on_failure():

@@ -177,6 +177,28 @@ def test_no_cli_command_loads_scipy(tmp_path):
         assert seen[name] == [], seen[name]
 
 
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # under the repository's warning filters a failing hypothesis test
+    # reports its falsifying example, and the session is not cut short
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(README.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_property.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
 def test_no_package_module_imports_scipy():
     for name, path in MODULES.items():
         for node in ast.walk(ast.parse(path.read_text())):
