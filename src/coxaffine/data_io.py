@@ -38,14 +38,20 @@ __all__ = [
 _EPOCH = datetime(1970, 1, 1)
 _MS = timedelta(milliseconds=1)
 _DAY_MS = 86_400_000
+# the UTC instants of years 1-9999, in milliseconds since the epoch
+_FIRST_MS = (datetime.min - _EPOCH) // _MS
+_END_MS = (datetime.max - _EPOCH) // _MS + 1
 _SIDES = ("", "buy", "sell")  # EventLog.side codes index this tuple
 _BLOCK_LINES = 65_536
-# the canonical timestamp YYYY-MM-DDTHH:MM:SS.mmm, by byte offset
-_TS_WIDTH = 23
-_TS_SEP_AT = [4, 7, 10, 13, 16, 19]
-_TS_SEP = np.frombuffer(b"--T::.", dtype=np.uint8)
-_TS_DIGIT_AT = [j for j in range(_TS_WIDTH) if j not in _TS_SEP_AT]
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_SCAN_BYTES = 1 << 18  # bytes per step of the separator pass
+# The timestamps parsed in vectorized blocks, byte by byte: "0" is a digit and
+# "+" the sign of the UTC offset, "+" or "-".
+_STAMP = "0000-00-00T00:00:00.000"
+_OFFSET_STAMP = _STAMP + "+00:00"
+# days in each month, February's 29th checked against the year, and the days
+# before each month in a year that starts on March 1
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_MARCH_DAYS = np.array([0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275], dtype=np.int32)
 _OBS_MAPPINGS = ("frequency", "no_arrival_proxy", "no_arrival_log")
 
 
@@ -104,7 +110,8 @@ class EventLog:
         if side.ndim != 1 or side.size != ts.size:
             raise ValueError(f"side has {side.size} entries for {ts.size} timestamps")
         object.__setattr__(self, "side", frozen("side", side, np.int8))
-        if ts.size > 1 and np.any(np.diff(ts) < 0):
+        # neighbours compared, not differenced: a difference can wrap in int64
+        if np.any(ts[1:] < ts[:-1]):
             raise ValueError("timestamps must be nondecreasing")
 
     def __len__(self) -> int:
@@ -124,10 +131,13 @@ def load_events(path) -> EventLog:
     names one.  Out of order rows are sorted with a warning.  An empty file
     yields an empty log.
 
-    The file is read whole, so memory grows with its size.  A row whose
-    timestamp is exactly ``YYYY-MM-DDTHH:MM:SS.mmm`` with calendar fields in
-    range and whose side is exactly ``buy``, ``sell`` or empty is parsed in
-    vectorized blocks; every other row goes through the row rules above.
+    The file is read whole, so memory grows with its size.  A row is parsed
+    in vectorized blocks when its side is exactly ``buy``, ``sell`` or empty
+    and its timestamp is exactly ``YYYY-MM-DDTHH:MM:SS.mmm`` with calendar
+    fields in range, or that followed by a UTC offset ``+HH:MM`` or
+    ``-HH:MM`` with HH at most 23 and MM at most 59 whose UTC instant lies
+    in years 1-9999.  Every other row goes through the row rules above,
+    which decide it as they decide every row.
     A file that holds a ``"``, a non-ASCII or NUL byte, a lone carriage
     return or a line longer than ``csv.field_size_limit()`` cannot be split
     at newline bytes, and is read row by row with ``csv.DictReader``; a
@@ -143,7 +153,7 @@ def load_events(path) -> EventLog:
         ts, codes, instrument, rejected = _read_rows(path)
     else:
         ts, codes, instrument, rejected = _read_lines(path, data, *lines)
-    if ts.size > 1 and np.any(np.diff(ts) < 0):
+    if np.any(ts[1:] < ts[:-1]):
         warnings.warn(f"{path}: events out of order; sorting", stacklevel=2)
         order = np.argsort(ts, kind="stable")
         ts = ts[order]
@@ -206,74 +216,108 @@ def _read_rows(path):
 
 
 def _line_bounds(data: bytes):
-    """Start and end byte offsets of each line, or None if ``csv`` must split the file.
+    """The separators and line ends of ``data``, or None if ``csv`` must split it.
 
     A quoted field may hold a newline, a lone carriage return ends a line
     for ``csv``, non-ASCII bytes need UTF-8 decoding, NUL bytes parse
     differently by Python version, and ``csv`` raises on a field longer than
-    its limit.  Ends exclude the newline and the carriage return of CRLF.
+    its limit.  Returns ``_separators``' two arrays and the byte offset
+    where each line ends, before its newline and the carriage return of CRLF.
     """
+    has_cr = b"\r" in data
     if (
         not data.isascii()
         or b'"' in data
         or b"\0" in data
-        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+        or (has_cr and data.count(b"\r") != data.count(b"\r\n"))
     ):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends + 1))
-    if data.endswith(b"\n"):
-        starts = starts[:-1]
-    else:
-        ends = np.append(ends, buf.size)
-    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))
-    if (ends - starts).max() > csv.field_size_limit():
+    seps, line_seps = _separators(buf)
+    ends = seps[line_seps]
+    # the longest line, its carriage return counted
+    if max(ends[0], np.diff(ends).max(initial=0) - 1) > csv.field_size_limit():
         return None
-    return starts, ends
+    if has_cr:
+        # no lone carriage return is left, so one before a newline ends that
+        # newline's line; an empty line reads the newline before it instead
+        ends -= buf[ends - 1] == ord("\r")
+    return seps, line_seps, ends
 
 
-def _read_lines(path, data: bytes, starts: np.ndarray, ends: np.ndarray):
-    """Parse canonical rows in vectorized blocks and the rest by the row rules.
+def _separators(buf: np.ndarray):
+    """Byte offsets of every comma and line end, and the indices of the line ends.
 
-    Field bounds come from the comma offsets of each block.  A column a row
+    One pass over the bytes, ``_SCAN_BYTES`` at a time.  A file that does not
+    end in a newline gets a last line end at its size.  Both arrays are
+    int32 when the file allows, which halves their memory.
+    """
+    dtype = np.int32 if buf.size < np.iinfo(np.int32).max else np.int64
+    seps, line_seps = [], []
+    n_seps = 0
+    newline_at, sep_at = np.empty(_SCAN_BYTES, dtype=bool), np.empty(_SCAN_BYTES, dtype=bool)
+    for lo in range(0, buf.size, _SCAN_BYTES):
+        chunk = buf[lo : lo + _SCAN_BYTES]
+        # the masks reuse two buffers: fresh ones cost more than the compares
+        newline = np.equal(chunk, ord("\n"), out=newline_at[: chunk.size])
+        sep = np.equal(chunk, ord(","), out=sep_at[: chunk.size])
+        sep |= newline
+        at = np.flatnonzero(sep)
+        line_seps.append((np.flatnonzero(newline[at]) + n_seps).astype(dtype))
+        seps.append((at + lo).astype(dtype))
+        n_seps += at.size
+    if buf[-1] != ord("\n"):
+        seps.append(np.array([buf.size], dtype=dtype))
+        line_seps.append(np.array([n_seps], dtype=dtype))
+    return np.concatenate(seps), np.concatenate(line_seps)
+
+
+def _read_lines(path, data: bytes, seps, line_seps, ends):
+    """Parse the rows ``_stamp_ms`` and ``_side_codes`` accept in vectorized
+    blocks, and the rest by the row rules.
+
+    A line starts past the end separator of the line before it, and its
+    commas sit in ``seps`` between the two end separators.  A column a row
     lacks has empty bounds at the line end; the row rules read an empty
     field as they read a missing one.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    header = data[starts[0] : ends[0]].decode("ascii")
+    header = data[: ends[0]].decode("ascii")
     fieldnames = header.split(",") if header else []
     _check_header(path, fieldnames)
     # a repeated name reads its last column, as in csv.DictReader
     column = {name: k for k, name in enumerate(fieldnames)}
-    stamps = [np.empty(0, dtype=np.int64)]
-    codes = [np.empty(0, dtype=np.int8)]
+    # filled block by block, so no block list is joined at the end
+    stamps = np.empty(ends.size - 1, dtype=np.int64)
+    codes = np.empty(ends.size - 1, dtype=np.int8)
+    n_kept = 0
     instrument = ""
     rejected = []
-    for lo in range(1, starts.size, _BLOCK_LINES):
-        s = starts[lo : lo + _BLOCK_LINES]
-        e = ends[lo : lo + _BLOCK_LINES]
-        commas = np.flatnonzero(buf[s[0] : e[-1]] == ord(",")) + s[0]
-        # the sentinel lies past every line, so take() never runs off the end
-        commas = np.append(commas, buf.size)
-        first = np.searchsorted(commas, s)
-        n_commas = np.searchsorted(commas, e) - first
+    for lo in range(1, ends.size, _BLOCK_LINES):
+        hi = min(lo + _BLOCK_LINES, ends.size)
+        e = ends[lo:hi]
+        first = line_seps[lo - 1 : hi - 1] + 1  # each line's first comma in seps
+        s = seps[first - 1] + 1
+        n_commas = line_seps[lo:hi] - first
 
         def field(name):
             k = column.get(name)
             if k is None:
                 return e, e
-            fs = s if k == 0 else np.minimum(commas.take(first + k - 1, mode="clip") + 1, e)
-            return fs, np.where(n_commas > k, commas.take(first + k, mode="clip"), e)
+            # past a line's last comma, take() reads its end or a later
+            # separator, and clip keeps it inside seps
+            fs = s if k == 0 else np.minimum(seps.take(first + (k - 1), mode="clip") + 1, e)
+            return fs, np.where(n_commas > k, seps.take(first + k, mode="clip"), e)
 
         ts_s, ts_e = field("timestamp")
         side_s, side_e = field("side")
-        ms = np.zeros(s.size, dtype=np.int64)
-        ok = np.zeros(s.size, dtype=bool)
-        at = np.flatnonzero(ts_e - ts_s == _TS_WIDTH)
+        width = ts_e - ts_s
+        ok, ms = _stamp_ms(buf, ts_s, _STAMP)
+        ok &= width == len(_STAMP)
+        at = np.flatnonzero(width == len(_OFFSET_STAMP))
         if at.size:
-            ok[at], ms[at] = _canonical_ms(sliding_window_view(buf, _TS_WIDTH)[ts_s[at]])
-        code = _canonical_side(buf, side_s, side_e)
+            ok[at], ms[at] = _stamp_ms(buf, ts_s[at], _OFFSET_STAMP)
+        code = _side_codes(buf, side_s, side_e)
         ok &= code >= 0
         for i in np.flatnonzero(~ok & (e > s)).tolist():
             parsed = _parse_row(
@@ -292,54 +336,120 @@ def _read_lines(path, data: bytes, starts: np.ndarray, ends: np.ndarray):
                 instrument = data[in_s[i] : in_e[i]].decode("ascii").strip()
                 if instrument:
                     break
-        stamps.append(ms[ok])
-        codes.append(code[ok])
-    return np.concatenate(stamps), np.concatenate(codes), instrument, rejected
+        n = n_kept + np.count_nonzero(ok)
+        stamps[n_kept:n] = ms[ok]
+        codes[n_kept:n] = code[ok]
+        n_kept = n
+    return stamps[:n_kept], codes[:n_kept], instrument, rejected
 
 
-def _canonical_side(buf, fs, fe) -> np.ndarray:
-    """Side code of fields that are exactly a tag of ``_SIDES``, -1 for the rest."""
-    n = fe - fs
-    code = np.where(n == 0, 0, -1).astype(np.int8)
-    for c, tag in enumerate(_SIDES[1:], start=1):
-        at = np.flatnonzero(n == len(tag))
-        if at.size:
-            want = np.frombuffer(tag.encode("ascii"), dtype=np.uint8)
-            code[at[(sliding_window_view(buf, len(tag))[fs[at]] == want).all(axis=1)]] = c
-    return code
+# "buy" and "sell" as little-endian uint32 words; a 3-byte tag is compared
+# under a mask that drops the byte after it
+_BUY, _SELL = (int.from_bytes(tag.ljust(4, b"\0"), "little") for tag in (b"buy", b"sell"))
 
 
-def _canonical_ms(rows: np.ndarray):
-    """``(ok, ms)`` for timestamps given as rows of ``_TS_WIDTH`` bytes.
+def _side_codes(buf, fs, fe) -> np.ndarray:
+    """Side code of fields that are exactly a tag of ``_SIDES``, -1 for the rest.
 
-    ``ok`` marks rows of the exact form ``YYYY-MM-DDTHH:MM:SS.mmm`` whose
-    year is at least 1, day exists in its month (leap years included), and
-    hour, minute and second are below 24, 60 and 60.  Their milliseconds
-    since the epoch come from integer days-from-civil arithmetic, equal to
-    what ``datetime.fromisoformat`` gives; ``ms`` is meaningless elsewhere.
+    Each field's first four bytes are read as one uint32 word.  A word that
+    would run past the end of the file is read from a byte earlier, so it
+    starts with the separator before the field and matches no tag.
     """
-    ok = (rows[:, _TS_SEP_AT] == _TS_SEP).all(axis=1)
-    ok &= (rows[:, _TS_DIGIT_AT] - np.uint8(ord("0")) <= 9).all(axis=1)
+    n = fe - fs
+    last = buf.size - 4
+    # fancy indexing reads the unaligned words in place; take() would copy the file
+    word = np.ndarray((last + 1,), "<u4", buf, 0, (1,))[np.minimum(fs, last)]
+    buy = (n == 3) & (word & 0xFFFFFF == _BUY)
+    sell = (n == 4) & (word == _SELL)
+    other = (n != 0) & ~(buy | sell)
+    return buy.view(np.int8) + 2 * sell.view(np.int8) - other.view(np.int8)
 
-    def number(lo, hi):
-        v = np.zeros(rows.shape[0], dtype=np.int64)
-        for j in range(lo, hi):
-            v = v * 10 + (rows[:, j] - np.uint8(ord("0")))
+
+def _stamp_words(form: str):
+    """The uint64 words that check a timestamp form in ``_stamp_ms``.
+
+    ``key`` XORs each byte: a digit becomes its value, a separator 0.
+    Adding ``carry`` then sets a byte's high bit exactly where the value is
+    above its limit (9 for a digit, 0 for a separator), and ``high`` keeps
+    the high bits of the bytes that are checked.  The sign and the padding
+    up to a whole word are not.
+    """
+    size = -(-len(form) // 8) * 8
+    key, carry, high = bytearray(size), bytearray(size), bytearray(size)
+    for j, c in enumerate(form):
+        key[j] = ord(c)
+        if c != "+":
+            carry[j] = 0x80 - (10 if c == "0" else 1)
+            high[j] = 0x80
+    return tuple(np.frombuffer(bytes(b), dtype="<u8") for b in (key, carry, high))
+
+
+_STAMP_WORDS = {form: _stamp_words(form) for form in (_STAMP, _OFFSET_STAMP)}
+
+
+def _stamp_ms(buf, fs, form: str):
+    """``(ok, ms)`` for the timestamp fields at byte offsets ``fs`` read as
+    ``form``, ``_STAMP`` or ``_OFFSET_STAMP``; the caller drops the fields
+    whose width is not the form's.
+
+    ``ok`` marks fields of exactly that form whose year is at least 1, day
+    exists in its month (leap years included), hour, minute and second are
+    below 24, 60 and 60, and, with an offset, whose offset hours and minutes
+    are below 24 and 60 and whose UTC instant lies in years 1-9999.  Their
+    UTC milliseconds since the epoch come from integer days-from-civil
+    arithmetic, equal to what ``_parse_timestamp_ms`` gives; ``ms`` is
+    meaningless elsewhere.  Each field is read as whole uint64 words.  Words
+    that would run past the end of the file are read from up to 7 bytes
+    earlier; for a field of the form's width they then hold the separator
+    before it where the form has a digit or a "-", and fail.
+    """
+    key, carry, high = _STAMP_WORDS[form]
+    size = key.size * 8
+    if buf.size < size:
+        return np.zeros(fs.size, dtype=bool), np.zeros(fs.size, dtype=np.int64)
+    words = sliding_window_view(buf, size)[np.minimum(fs, buf.size - size)].view("<u8")
+    # ASCII bytes stay below 0x80 under the key, so no byte carries into the next
+    flags = np.zeros(fs.size, dtype=np.uint64)
+    for j in range(key.size):  # column by column: a row of words is too short a loop
+        word = words[:, j]
+        word ^= key[j]
+        over = word + carry[j]
+        over |= word
+        over &= high[j]
+        flags |= over
+    ok = flags == 0
+    digits = words.view(np.uint8)
+
+    def number(lo, hi):  # garbage where ok is False; int32 may wrap there
+        v = digits[:, lo].astype(np.int32)
+        for j in range(lo + 1, hi):
+            v *= 10
+            v += digits[:, j]
         return v
 
     year, month, day = number(0, 4), number(5, 7), number(8, 10)
     hour, minute, second, milli = number(11, 13), number(14, 16), number(17, 19), number(20, 23)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    m = np.minimum(month, 12)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= _MONTH_DAYS[m])
     ok &= (hour < 24) & (minute < 60) & (second < 60)
+    feb29 = np.flatnonzero(ok & (month == 2) & (day == 29))
+    y = year[feb29]
+    ok[feb29] = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
     # days from 1970-01-01 in the proleptic Gregorian calendar, years from March
     y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
-    return ok, (((days * 24 + hour) * 60 + minute) * 60 + second) * 1000 + milli
+    days = y * 365 + y // 4 - y // 100 + y // 400 + _MARCH_DAYS[m] + day - 719_469
+    ms = days.astype(np.int64)
+    ms *= _DAY_MS
+    ms += ((hour * 60 + minute) * 60 + second) * 1000 + milli
+    if form == _OFFSET_STAMP:
+        sign = digits[:, len(_STAMP)]  # 0 for "+", 6 for "-" under the key
+        off_hour, off_minute = number(24, 26), number(27, 29)
+        ok &= ((sign == 0) | (sign == 6)) & (off_hour < 24) & (off_minute < 60)
+        shift = (off_hour * 60 + off_minute) * 60_000
+        np.negative(shift, out=shift, where=sign == 6)
+        ms -= shift
+        ok &= (ms >= _FIRST_MS) & (ms < _END_MS)
+    return ok, ms
 
 
 def save_events(log: EventLog, path) -> None:
@@ -424,12 +534,10 @@ def aggregate(
     if n_bins == 0:
         raise ValueError("interval longer than the session")
 
-    ts = log.timestamps_ms
-    day = ts // _DAY_MS
-    tod = ts - day * _DAY_MS
-    offset = tod - start_ms
+    day, offset = np.divmod(log.timestamps_ms, _DAY_MS)
+    offset -= start_ms
     in_session = (offset >= 0) & (offset < n_bins * interval_ms)
-    n_dropped = int(ts.size - in_session.sum())
+    n_dropped = int(day.size - in_session.sum())
     if not in_session.any():
         warnings.warn("no events inside session bounds: empty series", stacklevel=2)
         empty = np.empty(0)
@@ -442,11 +550,14 @@ def aggregate(
         )
 
     day = day[in_session]
-    days = np.unique(day)
-    # one flat day-major bin index per event; searchsorted on the few days
-    # keeps peak memory below np.unique(..., return_inverse=True), whose
-    # sort temporaries are each as long as the event log
-    key = np.searchsorted(days, day) * n_bins
+    # one flat day-major bin index per event; the log is time-ordered, so
+    # each day's events form one run, and a day's first bin is its run's
+    # index times n_bins
+    new_day = np.flatnonzero(day[1:] != day[:-1]) + 1
+    days = day[np.concatenate(([0], new_day))]
+    key = np.zeros(day.size, dtype=np.int64)
+    key[new_day] = n_bins
+    np.cumsum(key, out=key)
     key += offset[in_session] // interval_ms
     per_day = (
         np.bincount(key, minlength=days.size * n_bins).reshape(days.size, n_bins).astype(float)

@@ -46,6 +46,13 @@ class TestEventLog:
         with pytest.raises(ValueError, match="integer codes"):
             EventLog(timestamps_ms=np.array([1], dtype=np.int64), side=[3])
 
+    def test_order_is_checked_without_wrapping(self):
+        # np.diff of these wraps in int64 and read them as decreasing
+        log = EventLog(timestamps_ms=np.array([-2**62, 2**62]))
+        assert log.timestamps_ms.tolist() == [-2**62, 2**62]
+        with pytest.raises(ValueError, match="nondecreasing"):
+            EventLog(timestamps_ms=np.array([2**62, -2**62]))
+
     @pytest.mark.parametrize(
         "side",
         [
@@ -265,7 +272,7 @@ def oracle_load_events(path):
                 if dt.tzinfo is not None:
                     dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
                 ms = (dt - _EPOCH) // timedelta(milliseconds=1)
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: UTC is outside years 1-9999
                 rejected.append(line)
                 continue
             if side not in ("", "buy", "sell"):
@@ -322,24 +329,61 @@ _SPECIAL_STAMPS = [
     "0001-01-01T00:00:00.000",
     "9999-12-31T23:59:59.999",
     "2024-13-01T10:00:00.000",
+    "2024-00-10T10:00:00.000",
+    "2024-01-00T10:00:00.000",
+    "2024-02-30T10:00:00.000",
+    "2023-04-31T10:00:00.000",
+    "2024-01-03T10:00:00.000 02:00",
+    "2024-01-03T10:00:00.000/02:00",
     "2024-01-03T10:00:00",
     "2024-01-03T10:00:00.000000",
     "2024/01/03T10:00:00.000",
     "2024-01-03T10:0a:00.000",
+    "2024-01-03T10;00:00.000",
+    "2024-01-03T10:00:00/000",
     "+024-01-03T10:00:00.000",
     "not-a-time",
     "",
 ]
 
 
+# offsets at and past the edges of what datetime.fromisoformat accepts
+_SPECIAL_OFFSETS = ["-00:00", "+23:59", "-23:59", "+24:00", "+02:60", "+0200", "+02:00:00"]
+
+
+@st.composite
+def clock_readings(draw):
+    """A date and time in the canonical form: any instant, one on the first
+    or last day of the calendar, or February 29 of any year."""
+    where = draw(st.sampled_from(["any", "any", "ends", "feb29"]))
+    if where == "feb29":
+        year, hour = draw(st.integers(1, 9999)), draw(st.integers(0, 23))
+        return f"{year:04d}-02-29T{hour:02d}:30:15.250"
+    if where == "ends":
+        origin, days = draw(st.sampled_from([datetime(1, 1, 1), datetime(9999, 12, 31)])), 1
+    else:
+        origin, days = draw(st.sampled_from([(_T0, 2 * 366), (datetime(1, 1, 1), 9998 * 365)]))
+    at = origin + timedelta(milliseconds=draw(st.integers(0, days * 86_400_000 - 1)))
+    return at.isoformat(timespec="milliseconds")
+
+
+@st.composite
+def offsets(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_SPECIAL_OFFSETS))
+    sign, hours, minutes = draw(st.sampled_from("+-")), draw(st.integers(0, 24)), draw(st.integers(0, 60))
+    return f"{sign}{hours:02d}:{minutes:02d}"
+
+
 @st.composite
 def stamps(draw):
-    origin, days = draw(st.sampled_from([(_T0, 2 * 366), (datetime(1, 1, 1), 9998 * 365)]))
-    at = origin + timedelta(milliseconds=draw(st.integers(0, days * 86_400_000)))
-    text = at.isoformat(timespec="milliseconds")
-    kind = draw(st.sampled_from(["canonical"] * 4 + ["offset", "Z", "space", "padded", "special"]))
+    text = draw(clock_readings())
+    kind = draw(
+        st.sampled_from(["canonical"] * 4 + ["offset"] * 2 + ["Z", "space", "padded", "special"])
+    )
     if kind == "offset":
-        return (at + timedelta(hours=2)).isoformat(timespec="milliseconds") + "+02:00"
+        # near either end of the calendar, an offset can push UTC past it
+        return text + draw(offsets())
     if kind == "Z":
         return text + "Z"
     if kind == "space":
@@ -443,6 +487,89 @@ class TestIngestEquivalence:
         assert outcome(load_events, path) == outcome(oracle_load_events, path)
 
 
+def offset_events(n):
+    """UTC instants, their text with a random offset on every third row and
+    none elsewhere, and side tags; every row in a vectorized form."""
+    gen = np.random.default_rng(29)
+    utc = np.sort(gen.integers(0, 20 * DAY_MS, n)) + 19_700 * DAY_MS
+    minutes = gen.integers(-(23 * 60 + 59), 23 * 60 + 60, n)
+    minutes[np.arange(n) % 3 != 0] = 0
+    local = np.datetime_as_string((utc + minutes * 60_000).astype("datetime64[ms]"), unit="ms")
+    stamps = [
+        f"{t}{'-' if m < 0 else '+'}{abs(m) // 60:02d}:{abs(m) % 60:02d}" if i % 3 == 0 else t
+        for i, (t, m) in enumerate(zip(local.tolist(), minutes.tolist()))
+    ]
+    return utc, stamps, [("buy", "sell", "")[i % 3] for i in range(n)]
+
+
+class TestVectorizedRoute:
+    """Which rows the vectorized blocks take, and which reach the row rules."""
+
+    N = 70_000  # past the block edge between data rows 65,535 and 65,536
+
+    def write(self, path, stamps, sides):
+        rows = (f"{t},{side},SIM" for t, side in zip(stamps, sides))
+        path.write_text("timestamp,side,instrument\n" + "\n".join(rows) + "\n")
+
+    def test_canonical_and_offset_rows_skip_the_row_rules(self, tmp_path):
+        utc, stamps, sides = offset_events(self.N)
+        path = tmp_path / "events.csv"
+        self.write(path, stamps, sides)
+        with mock.patch.object(data_io, "_parse_row", side_effect=AssertionError("row rules")):
+            log = load_events(path)
+        assert log.timestamps_ms.tobytes() == utc.tobytes()
+        assert log.side.tolist() == [("", "buy", "sell").index(t) for t in sides]
+        assert log.n_rejected == 0 and log.instrument == "SIM"
+
+    def test_other_rows_still_reach_the_row_rules(self, tmp_path):
+        utc, stamps, sides = offset_events(self.N)
+
+        def clock(i, minutes):
+            ms = np.array([utc[i] + minutes * 60_000], dtype="datetime64[ms]")
+            return np.datetime_as_string(ms, unit="ms")[0]
+
+        other = {
+            1: ("2023-02-29T10:00:00.000", "buy"),  # no such day: rejected
+            65_534: (clock(65_534, 0) + "+24:00", "buy"),  # rejected
+            65_535: (clock(65_535, 180) + "+02:60", "sell"),  # accepted, as +03:00
+            65_536: (f" {clock(65_536, 0)} ", "buy"),  # padded: accepted
+            65_537: (clock(65_537, 0), "hold"),  # rejected
+            self.N - 1: (clock(self.N - 1, -90) + "-01:30", "Sell"),  # accepted
+        }
+        for i, (stamp, side) in other.items():
+            stamps[i], sides[i] = stamp, side
+        path = tmp_path / "events.csv"
+        self.write(path, stamps, sides)
+        with mock.patch.object(data_io, "_parse_row", wraps=data_io._parse_row) as rules:
+            log = load_events(path)
+        assert sorted(call.args for call in rules.call_args_list) == sorted(other.values())
+        assert log.rejected_lines == (3, 65_536, 65_539)
+        keep = np.ones(self.N, dtype=bool)
+        keep[[1, 65_534, 65_537]] = False
+        assert log.timestamps_ms.tobytes() == utc[keep].tobytes()
+        assert outcome(load_events, path) == outcome(oracle_load_events, path)
+
+    def test_a_field_at_the_end_of_the_file(self, tmp_path):
+        # its word would run past the last byte, so the row rules decide it
+        path = tmp_path / "events.csv"
+        for text in (
+            "timestamp,side\n2024-01-03T10:00:00.000,buy",
+            "side,timestamp\nbuy,2024-01-03T10:00:00.000",
+            "side,timestamp\nsell,2024-01-03T10:00:00.000+02:00",
+            "side,timestamp\nbuy,2024-01-03T10:00:00.000\nsell,2024-01-03T10:00:00.000",
+        ):
+            path.write_text(text)
+            with mock.patch.object(data_io, "_parse_row", wraps=data_io._parse_row) as rules:
+                log = load_events(path)
+            assert rules.call_count == 1
+            assert log.timestamps_ms.tolist()[-1] == ms_at(19_725, 8 if "+02" in text else 10, 0)
+            assert outcome(load_events, path) == outcome(oracle_load_events, path)
+            # blank lines after it give its words room, so the blocks take it
+            path.write_text(text + "\n" * 3)
+            with mock.patch.object(data_io, "_parse_row", side_effect=AssertionError("row rules")):
+                assert load_events(path).timestamps_ms.tolist() == log.timestamps_ms.tolist()
+
+
 class TestFixtureGenerator:
     def test_regenerates_committed_fixtures(self, tmp_path, monkeypatch):
         script = os.path.join(FIXTURES, "make_fixtures.py")
@@ -513,6 +640,35 @@ class TestAggregate:
         assert pooled.counts.tobytes() == per_day.reshape(-1).tobytes()
         averaged = aggregate(log, sessions=sessions, average_days=True)
         assert averaged.counts.tobytes() == per_day.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("average_days", [False, True])
+    @pytest.mark.parametrize(
+        "session_days, off_days",
+        [([3, 4, 9, 30], []), ([3, 9], [4, 5, 30]), ([7], []), ([7], [6, 8])],
+        ids=["empty days", "off-session days", "one day", "one day among off-session days"],
+    )
+    def test_day_runs_match_unique_days(self, session_days, off_days, average_days):
+        # reference: the days found by np.unique, each event placed by searchsorted
+        gen = np.random.default_rng(29)
+        stamps = [day * DAY_MS + gen.integers(10 * 3_600_000, 18 * 3_600_000, 300)
+                  for day in session_days]
+        stamps += [day * DAY_MS + gen.choice([9, 18, 23], 50) * 3_600_000 for day in off_days]
+        stamps = np.sort(np.concatenate(stamps))
+        day, offset = np.divmod(stamps, DAY_MS)
+        offset -= 10 * 3_600_000
+        keep = (offset >= 0) & (offset < 8 * 3_600_000)
+        days = np.unique(day[keep])
+        per_day = np.zeros((days.size, 480))
+        np.add.at(per_day, (np.searchsorted(days, day[keep]), offset[keep] // 60_000), 1)
+        bins = 10 * 3_600_000 + 60_000 * np.arange(480)
+        series = aggregate(EventLog(timestamps_ms=stamps), average_days=average_days)
+        if average_days:
+            counts, starts = per_day.mean(axis=0), days[0] * DAY_MS + bins
+        else:
+            counts, starts = per_day.reshape(-1), (days[:, None] * DAY_MS + bins).reshape(-1)
+        assert series.counts.tobytes() == counts.tobytes()
+        assert series.interval_start_ms.tobytes() == starts.tobytes()
+        assert series.n_dropped == np.count_nonzero(~keep) == 50 * len(off_days)
 
     def test_trailing_remainder_dropped(self):
         # 10:00 to 10:01 in 7 s bins: 8 full bins cover 56 s, so an event in
