@@ -1,4 +1,4 @@
-"""The rules for what the package takes in: numbers, sizes and arrays.
+"""The rules for what the package takes in: numbers, sizes, choices, flags, arrays.
 
 Each rule has one reader here, so a model, an event log, a series and a
 simulated path check their input alike.  This module imports only numpy.
@@ -25,6 +25,18 @@ def check_real(name: str, value, least=None, above=None) -> None:
 def check_size(name: str, value, least: int = 1) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """A mapping or start: one of the strings ``choices``, else ValueError."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    """A switch: True or False, else ValueError; 0 and 1 are not flags."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def frozen(name: str, values, dtype) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._inputs import check_real, check_size, frozen
+from ._inputs import check_choice, check_flag, check_real, check_size, frozen
 
 __all__ = [
     "EventLog",
@@ -70,14 +70,19 @@ def _time_to_ms(t: time) -> int:
     return ((t.hour * 60 + t.minute) * 60 + t.second) * 1000 + t.microsecond // 1000
 
 
-def _coerce_time(value) -> time:
-    """A session bound: a ``datetime.time`` or an ISO 'HH:MM[:SS[.fff]]'
-    string, on the log's clock.  A bound with a UTC offset raises ValueError."""
-    bound = time.fromisoformat(value) if isinstance(value, str) else value
-    if not isinstance(bound, time):
-        raise TypeError(f"session bound must be datetime.time or 'HH:MM' string, got {value!r}")
-    if bound.tzinfo is not None:
-        raise ValueError(f"session bound {value!r} has a UTC offset; give it on the log's clock")
+def _coerce_time(value, name: str) -> time:
+    """The session bound ``name``: a ``datetime.time`` or an ISO
+    'HH:MM[:SS[.fff]]' string, on the log's clock.  Anything else, a bound
+    with a UTC offset included, raises ValueError naming ``name``."""
+    try:
+        bound = time.fromisoformat(value) if isinstance(value, str) else value
+    except ValueError:
+        bound = None
+    if not isinstance(bound, time) or bound.tzinfo is not None:
+        raise ValueError(
+            f"{name} must be a datetime.time or an 'HH:MM[:SS]' string without a UTC offset,"
+            f" got {value!r}"
+        )
     return bound
 
 
@@ -138,13 +143,16 @@ def load_events(path) -> EventLog:
     ``-HH:MM`` with HH at most 23 and MM at most 59 whose UTC instant lies
     in years 1-9999.  Every other row goes through the row rules above,
     which decide it as they decide every row.
-    A file that holds a ``"``, a non-ASCII or NUL byte, a lone carriage
-    return or a line longer than ``csv.field_size_limit()`` cannot be split
-    at newline bytes, and is read row by row with ``csv.DictReader``; a
-    row that ``csv`` cannot split raises ValueError naming its line.
+    A file that holds, past a leading byte order mark, a ``"``, a non-ASCII
+    or NUL byte, a lone carriage return or a line longer than
+    ``csv.field_size_limit()`` cannot be split at newline bytes, and is read
+    row by row with ``csv.DictReader``; a row that ``csv`` cannot split
+    raises ValueError naming its line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if data[:3] == b"\xef\xbb\xbf":  # a byte order mark is skipped
+        data = data[3:]
     if not data:
         return EventLog(np.empty(0, dtype=np.int64))
     lines = _line_bounds(data)
@@ -488,6 +496,7 @@ class ObservationSeries:
             raise ValueError("counts must be nonnegative")
         check_real("interval_seconds", self.interval_seconds, above=0)
         check_size("M", self.M)
+        check_flag("counts_are_averaged", self.counts_are_averaged)
         obs = self.observable
         if obs is not None:
             obs = frozen("observable", obs, float)
@@ -523,7 +532,8 @@ def aggregate(
     ``n_dropped``.
     """
     check_real("interval", interval, above=0)
-    start, end = (_coerce_time(s) for s in sessions)
+    check_flag("average_days", average_days)
+    start, end = (_coerce_time(s, f"sessions[{i}]") for i, s in enumerate(sessions))
     start_ms, end_ms = _time_to_ms(start), _time_to_ms(end)
     if not start_ms < end_ms:
         raise ValueError(f"session start {start} must precede end {end}")
@@ -595,8 +605,7 @@ def to_observable(
     if M is None:
         M = series.M
     check_size("M", M)
-    if mapping not in _OBS_MAPPINGS:
-        raise ValueError(f"mapping must be one of {_OBS_MAPPINGS}, got {mapping!r}")
+    check_choice("mapping", mapping, _OBS_MAPPINGS)
     counts = series.counts
     flagged = tuple(int(i) for i in np.nonzero(counts > M)[0])
     freq = np.minimum(counts, M) / M
@@ -613,7 +622,9 @@ def to_observable(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Session hours, interval, and capacity for the ingestion pipeline."""
+    """Session hours, interval, and capacity for the ingestion pipeline, each
+    checked as ``aggregate`` and ``to_observable`` check it; a session bound
+    may be an ISO 'HH:MM[:SS[.fff]]' string and is held as a ``datetime.time``."""
 
     session_start: time = time(10, 0)
     session_end: time = time(18, 0)
@@ -621,6 +632,14 @@ class PipelineConfig:
     M: int = 6000
     mapping: str = "no_arrival_log"
     average_days: bool = False
+
+    def __post_init__(self):
+        for name in ("session_start", "session_end"):
+            object.__setattr__(self, name, _coerce_time(getattr(self, name), name))
+        check_real("interval_seconds", self.interval_seconds, above=0)
+        check_size("M", self.M)
+        check_choice("mapping", self.mapping, _OBS_MAPPINGS)
+        check_flag("average_days", self.average_days)
 
     @property
     def sessions(self):
@@ -637,47 +656,19 @@ class PipelineConfig:
         return doc
 
 
-_CONFIG_RULES = {
-    "session_start": "an 'HH:MM' or 'HH:MM:SS' string without a UTC offset",
-    "session_end": "an 'HH:MM' or 'HH:MM:SS' string without a UTC offset",
-    "interval_seconds": "a positive finite number",
-    "M": "a positive integer",
-    "mapping": f"one of {_OBS_MAPPINGS}",
-    "average_days": "true or false",
-}
-
-
-def _config_value(key: str, value):
-    """``value`` as the PipelineConfig field ``key``; ValueError if it is not one."""
-    if key in ("session_start", "session_end") and isinstance(value, str):
-        return _coerce_time(value)
-    if key == "interval_seconds":
-        check_real(key, value, above=0)
-    elif key == "M":
-        check_size(key, value)
-    elif not (key == "mapping" and value in _OBS_MAPPINGS
-              or key == "average_days" and isinstance(value, bool)):
-        raise ValueError(key)
-    return value
-
-
 def load_pipeline_config(path) -> PipelineConfig:
     """Read a pipeline config: a JSON object holding any of the PipelineConfig
-    fields.  An unknown key, or a value of the wrong type or range, raises
-    ValueError naming the file and the key."""
+    fields, built as that type, which checks each value.  A file that is not
+    a JSON object, an unknown key or a value of the wrong type or range
+    raises ValueError that starts with the file's path."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: pipeline config must be a JSON object")
-    unknown = set(raw) - _CONFIG_RULES.keys()
+    unknown = set(raw) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        try:
-            kwargs[key] = _config_value(key, value)
-        except ValueError:
-            raise ValueError(
-                f"{path}: {key} must be {_CONFIG_RULES[key]}, got {value!r}"
-            ) from None
-    return PipelineConfig(**kwargs)
+    try:
+        return PipelineConfig(**raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._backend import filter_kernel
-from ._inputs import check_real, check_size, is_real
+from ._inputs import check_choice, check_real, check_size, is_real
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream, _cir_chain
@@ -105,8 +105,7 @@ class StateSpaceSpec:
     def __post_init__(self):
         check_real("delta", self.delta, above=0)
         check_real("window", self.window, above=0)
-        if self.mapping not in _MAPPINGS:
-            raise ValueError(f"mapping must be one of {_MAPPINGS}, got {self.mapping!r}")
+        check_choice("mapping", self.mapping, _MAPPINGS)
 
 
 @dataclass(frozen=True)
@@ -725,16 +724,19 @@ def _chi2_sf(x: float, df: int) -> float:
 def ljung_box_pvalue(statistic: float, lag: int) -> float:
     """Survival probability of the chi-square(lag) reference at the statistic.
 
-    ``lag`` is a whole number; an integral float such as 5.0 is accepted.
-    A NaN statistic gives NaN.
+    ``lag`` is read by ``_lag``.  A NaN statistic gives NaN.
     """
-    if not float(lag).is_integer():
-        raise ValueError(f"lag must be a whole number, got {lag!r}")
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
+    lag = _lag(lag)
     if statistic < 0:
         raise ValueError(f"statistic must be >= 0, got {statistic}")
-    return _chi2_sf(float(statistic), int(lag))
+    return _chi2_sf(float(statistic), lag)
+
+
+def _lag(lag) -> int:
+    """A Ljung-Box lag: a whole number >= 1, such as 5, np.int64(5) or 5.0, else ValueError."""
+    if not (is_real(lag) and float(lag).is_integer() and lag >= 1):
+        raise ValueError(f"lag must be a positive whole number, got {lag!r}")
+    return int(lag)
 
 
 def ljung_box(residuals, lags: Sequence[int] = (5, 10, 15)) -> LjungBoxReport:
@@ -744,9 +746,9 @@ def ljung_box(residuals, lags: Sequence[int] = (5, 10, 15)) -> LjungBoxReport:
     """
     r = np.asarray(residuals, dtype=float)
     T = r.size
-    lags = tuple(int(l) for l in lags)
-    if not lags or min(lags) < 1:
-        raise ValueError("lags must be positive integers")
+    lags = tuple(_lag(lag) for lag in lags)
+    if not lags:
+        raise ValueError("lags must hold at least one lag")
     if T <= max(lags):
         raise ValueError(f"need more residuals ({T}) than the largest lag ({max(lags)})")
     x = r - r.mean()
@@ -780,14 +782,13 @@ def simulate_observations(
     """
     check_real("R", R, least=0)
     check_size("n_obs", n_obs)
+    check_choice("start", start, ("stationary", "fixed"))
     gen = rng.generator()
     if start == "stationary":
         g = stationary_intensity(model)
         lam = float(g.sample(gen))
-    elif start == "fixed":
-        lam = model.lambda0
     else:
-        raise ValueError(f"start must be 'stationary' or 'fixed', got {start!r}")
+        lam = model.lambda0
     coeffs = _filter_coeffs(model.kappa, model.theta, model.sigma, R, spec)
     lams = _cir_chain(model, lam, spec.delta, n_obs, gen)
     noise = gen.standard_normal(n_obs)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._inputs import check_real, check_size, frozen
+from ._inputs import check_choice, check_real, check_size, frozen
 from .affine_core import AffineModel, FellerModel
 from .cox_dist import CountPmf, stationary_count, stationary_intensity
 
@@ -459,8 +459,7 @@ def distance_to_stationary(
     ``start="stationary"`` draws initial intensities from the stationary law,
     in which case distances should be statistically indistinguishable from 0.
     """
-    if start not in ("fixed", "stationary"):
-        raise ValueError(f"start must be 'fixed' or 'stationary', got {start!r}")
+    check_choice("start", start, ("fixed", "stationary"))
     check_size("n_paths", n_paths)
     if not isinstance(rng, RngStream):
         raise TypeError("distance_to_stationary requires an RngStream for reproducibility")

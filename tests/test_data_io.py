@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from datetime import datetime, time, timedelta, timezone
 from unittest import mock
@@ -206,6 +207,46 @@ class TestLoadSave:
         assert log.instrument == "SIM"
         p.write_bytes(b"\xef\xbb\xbf")
         assert len(load_events(p)) == 0
+
+    def test_byte_order_mark_keeps_the_vectorised_route(self, tmp_path):
+        body = (
+            b"timestamp,side,instrument\r\n"
+            b"2024-01-03T10:00:00.000,buy,SIM\r\n"
+            b"2024-01-03T10:00:00.500,bid,SIM\r\n"
+            b"2024-01-03T12:00:01.000+02:00,sell,SIM\r\n"
+            b"\r\n"
+            b"2024-01-03T10:00:02,Sell,SIM\r\n"
+            b"not a time,,SIM\r\n"
+        )
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        with mock.patch.object(data_io, "_read_rows", side_effect=AssertionError("row route")):
+            expected = load_events(plain)
+            assert expected.rejected_lines == (3, 7)
+            assert outcome(load_events, marked) == outcome(load_events, plain)
+            marked.write_bytes(b"\xef\xbb\xbf")
+            assert len(load_events(marked)) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_a_pipe_loads_as_its_file_does(self, tmp_path, mark):
+        # A pipe cannot seek, as with `--data <(zcat log.csv.gz)`.  The row
+        # route opens the path again, which a pipe does not allow, so it is
+        # patched to fail at once rather than wait on the drained pipe.
+        plain, pipe = tmp_path / "plain.csv", tmp_path / "pipe.csv"
+        plain.write_bytes(mark + b"timestamp,side,instrument\n2024-01-03T10:00:00.000,buy,SIM\n"
+                          b"bad,buy,SIM\n2024-01-03T10:00:01.000,sell,SIM\n")
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(plain.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            with mock.patch.object(data_io, "_read_rows", side_effect=AssertionError("row route")):
+                got = outcome(load_events, pipe)
+        finally:
+            writer.join(timeout=10)
+        assert got == outcome(load_events, plain)
+        assert load_events(plain).rejected_lines == (3,)
 
     def test_out_of_order_sorted_with_warning(self, tmp_path):
         p = tmp_path / "events.csv"

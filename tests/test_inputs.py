@@ -13,10 +13,17 @@ takes arrays or sizes follows them alike:
   value past its bound (>= 0 or > 0) raises ValueError naming the argument;
 * a start state ``x0`` is such a number, >= 0, for a square-root model and
   an array field of ``dim`` finite entries for an affine one;
-  ``TransformCoeffs.laplace`` owns the finite rule and sets no sign.
+  ``TransformCoeffs.laplace`` owns the finite rule and sets no sign;
+* a choice is one of a fixed tuple of strings and a flag is True or False:
+  anything else, 0 and 1 included, raises ValueError naming the argument;
+* a Ljung-Box lag is a positive whole number, numpy's and 5.0 included, but
+  not a bool or a string;
+* ``PipelineConfig`` checks its own fields by these rules, however it is
+  built, and reads a session bound as ``aggregate`` does.
 """
 
 import math
+from datetime import time, timezone
 
 import numpy as np
 import pytest
@@ -31,6 +38,7 @@ from coxaffine import (
     NegBinLaw,
     ObservationSeries,
     PathSample,
+    PipelineConfig,
     RngStream,
     StateSpaceSpec,
     aggregate,
@@ -41,6 +49,8 @@ from coxaffine import (
     fit,
     hazard_moments,
     kalman_filter,
+    ljung_box,
+    ljung_box_pvalue,
     mean_count,
     monte_carlo_pmf,
     pmf,
@@ -54,7 +64,6 @@ from coxaffine import (
     to_observable,
 )
 from coxaffine._inputs import is_real
-from coxaffine.data_io import _config_value
 
 MODEL = FellerModel(kappa=1.0, theta=1.0, sigma=0.5, lambda0=1.0)
 DESK = FellerModel(kappa=0.2, theta=0.04, sigma=0.05, lambda0=0.04)
@@ -206,6 +215,7 @@ SPEC = StateSpaceSpec()
 SIZES = [
     size("ObservationSeries", "M", _series, 6000, 1),
     size("to_observable", "M", lambda v: to_observable(_series(), M=v), 6000, 1),
+    size("PipelineConfig", "M", lambda v: PipelineConfig(M=v), 6000, 1),
     size("simulate_observations", "n_obs",
          lambda v: simulate_observations(DESK, 1e-3, SPEC, v, RngStream(1)), 30, 1),
     size("replication_study", "n_reps", lambda v: replication_study(DESK, v, 20, RngStream(1)), 1, 1),
@@ -307,7 +317,7 @@ SCALARS = [
            above=0),
     scalar("aggregate", "interval", lambda v: aggregate(IN_SESSION, interval=v), above=0),
     scalar("PipelineConfig", "interval_seconds",
-           lambda v: _config_value("interval_seconds", v), above=0),
+           lambda v: PipelineConfig(interval_seconds=v), above=0),
 ]
 
 
@@ -329,6 +339,92 @@ class TestScalars:
     def test_numpy_floats_and_ints_are_numbers(self, name, call, least, above):
         for value in (np.float32(1.0), np.float64(1.0), 1, np.int64(1)):
             call(value)
+
+
+def choice(where, name, call, choices, marks=()):
+    """A string choice: the call taking its value and the values it takes."""
+    return pytest.param(name, call, choices, id=f"{where}.{name}", marks=marks)
+
+
+CHOICES = [
+    choice("StateSpaceSpec", "mapping", lambda v: StateSpaceSpec(mapping=v),
+           ("log_prob_no_arrival", "prob_no_arrival", "direct_state")),
+    choice("to_observable", "mapping", lambda v: to_observable(_series(), mapping=v),
+           ("frequency", "no_arrival_proxy", "no_arrival_log")),
+    choice("PipelineConfig", "mapping", lambda v: PipelineConfig(mapping=v),
+           ("frequency", "no_arrival_proxy", "no_arrival_log")),
+    choice("simulate_observations", "start",
+           lambda v: simulate_observations(DESK, 1e-3, SPEC, 30, RngStream(1), start=v),
+           ("stationary", "fixed")),
+    choice("distance_to_stationary", "start",
+           lambda v: distance_to_stationary(MODEL, [1.0], 64, RngStream(1), start=v),
+           ("fixed", "stationary"), marks=QUIET_DISTANCE),
+]
+
+
+@pytest.mark.parametrize("name, call, choices", CHOICES)
+class TestChoices:
+    def test_anything_but_a_listed_string_raises_naming_the_argument(self, name, call, choices):
+        for bad in (choices[0].upper(), "x", None, True, 1, ["x"], np.array(choices)):
+            with pytest.raises(ValueError, match=rf"^{name} must be one of"):
+                call(bad)
+
+    def test_each_listed_string_is_taken(self, name, call, choices):
+        for value in choices:
+            call(value)
+
+
+FLAGS = [
+    pytest.param("average_days", lambda v: PipelineConfig(average_days=v),
+                 id="PipelineConfig.average_days"),
+    pytest.param("average_days", lambda v: aggregate(IN_SESSION, average_days=v),
+                 id="aggregate.average_days"),
+    pytest.param("counts_are_averaged",
+                 lambda v: ObservationSeries(interval_start_ms=[0], counts=[1.0],
+                                             counts_are_averaged=v),
+                 id="ObservationSeries.counts_are_averaged"),
+]
+
+
+@pytest.mark.parametrize("name, call", FLAGS)
+class TestFlags:
+    def test_anything_but_a_bool_raises_naming_the_argument(self, name, call):
+        for bad in ("no", "true", 0, 1, None):
+            with pytest.raises(ValueError, match=rf"^{name} must be true or false"):
+                call(bad)
+
+    def test_true_and_false_are_flags(self, name, call):
+        for value in (True, False):
+            call(value)
+
+
+def test_pipeline_session_bounds_are_read_as_aggregate_reads_them():
+    cfg = PipelineConfig(session_start="09:30", session_end="17:59:30")
+    assert cfg.sessions == (time(9, 30), time(17, 59, 30))
+    assert cfg.to_dict()["session_start"] == "09:30"
+    for name in ("session_start", "session_end"):
+        for bad in (5, None, "25:00", "10:00+02:00", time(10, 0, tzinfo=timezone.utc)):
+            with pytest.raises(ValueError, match=rf"^{name} must be .* without a UTC offset"):
+                PipelineConfig(**{name: bad})
+
+
+LAGS = [
+    pytest.param(lambda v: ljung_box(Y, lags=(v,)).lags[0], id="ljung_box"),
+    pytest.param(lambda v: ljung_box_pvalue(1.0, v), id="ljung_box_pvalue"),
+]
+
+
+@pytest.mark.parametrize("call", LAGS)
+class TestLags:
+    def test_fraction_zero_bool_and_string_raise_naming_the_lag(self, call):
+        for bad in (5.5, 0, -5, True, "5", math.nan, math.inf):
+            with pytest.raises(ValueError, match="^lag must be a positive whole number"):
+                call(bad)
+
+    def test_an_integral_float_and_a_numpy_int_read_as_the_int(self, call):
+        for value in (5.0, np.int64(5), np.float32(5.0)):
+            assert call(value) == call(5)
+        assert type(ljung_box(Y, lags=(np.int64(5), 6.0)).lags[0]) is int
 
 
 def test_a_jet_mu_is_read_by_its_value():

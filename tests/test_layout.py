@@ -14,6 +14,8 @@ command.  No command loads a scipy module either.  Importing the CLI starts
 no process, and ``validate``'s worker pool does not outlive the command.
 ``concurrent.futures`` loads only inside the Monte Carlo block loop, so
 importing the CLI and running ``simulate`` or ``pmf`` never loads it.
+Only ``_inputs`` builds a "must be one of" message: every string choice is
+checked by ``_inputs.check_choice``.
 """
 
 import ast
@@ -209,6 +211,18 @@ def test_no_package_module_imports_scipy():
             else:
                 continue
             assert "scipy" not in tops, f"{name}.py imports scipy at line {node.lineno}"
+
+
+def test_only_inputs_builds_a_choice_message():
+    # a choice is checked by _inputs.check_choice, so no module writes its own
+    for name, path in MODULES.items():
+        if name == "_inputs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "must be one of" not in node.value, (
+                    f"{name}.py builds a choice message at line {node.lineno}"
+                )
 
 
 def test_numpy_is_the_one_runtime_dependency():
