@@ -17,6 +17,12 @@ multiplied in as its ``math.frexp`` mantissa, its exponent going to E, and
 ``prod`` is renormalised by ``math.frexp`` whenever it leaves that range.
 So the product never overflows or underflows, and log(prod_t s_t) is
 ``log(prod) + E * ln 2``.
+
+``filter_gradient`` sits next to the kernel under the same contract: its
+forward loop is the kernel's statements in the same order, so its loglik
+bits and err_index equal the kernel's, and a reverse sweep over the steps it
+records gives the loglik's derivatives in the nine coefficients.  A compiled
+twin of the kernel would need a twin of this loop too.
 """
 
 import math
@@ -76,6 +82,75 @@ def filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps=None):
         mp = a * m + b
         pp = aa * p + (q0 + q1 * m)
     return -0.5 * (len(y) * _LOG_2PI + (math.log(prod) + exp2 * _LN2) + quad), -1
+
+
+def filter_gradient(y, a, b, q0, q1, d, c, r2, m0, p0):
+    """``filter_kernel``'s (loglik, err_index) and the loglik's adjoints.
+
+    Returns (loglik, err_index, adjoints), where ``adjoints`` holds d loglik
+    / d (a, b, q0, q1, d, c, r2, m0, p0), or is None where err_index is not
+    -1.  The forward loop is ``filter_kernel``'s, statement for statement,
+    and records (mp, pp, s, k, v, m, p, floored) per step; the reverse sweep
+    is its adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008),
+    which for a Kalman filter is the smoother-based score of Koopman &
+    Shephard (Biometrika, 1992).  The filtered mean's adjoint is 0 at a step
+    where the zero floor bound, that is where the filtered mean is 0.
+    """
+    frexp = math.frexp
+    lo, hi = _LO, _HI
+    aa = a * a
+    cc = c * c
+    prod, exp2, quad = 1.0, 0, 0.0
+    mp, pp = m0, p0
+    tape = []
+    for t, yt in enumerate(y):
+        v = yt - (d + c * mp)
+        s = cc * pp + r2
+        if lo <= s <= hi:
+            prod *= s
+        elif s > 0.0:
+            f, e = frexp(s)
+            prod *= f
+            exp2 += e
+        else:
+            return math.nan, t, None
+        k = pp * c / s
+        m = mp + k * v
+        if m < 0.0:
+            m = 0.0
+        p = (1.0 - k * c) * pp
+        tape.append((mp, pp, s, k, v, m, p, m == 0.0))
+        quad += v * v / s
+        if prod > hi or prod < lo:
+            prod, e = frexp(prod)
+            exp2 += e
+        mp = a * m + b
+        pp = aa * p + (q0 + q1 * m)
+    loglik = -0.5 * (len(y) * _LOG_2PI + (math.log(prod) + exp2 * _LN2) + quad)
+
+    # bm, bp: the adjoints of the next step's predicted mean and variance
+    bm = bp = 0.0
+    gam = gap = gb = gq0 = gq1 = gd = gc = gr2 = 0.0
+    for mp, pp, s, k, v, m, p, floored in reversed(tape):
+        gam += bm * m
+        gap += bp * p
+        gb += bm
+        gq0 += bp
+        gq1 += bp * m
+        bm_ = 0.0 if floored else a * bm + q1 * bp  # filtered mean
+        bp_ = aa * bp  # filtered variance
+        w = v / s
+        bv = k * bm_ - w  # innovation
+        bk = v * bm_ - c * pp * bp_  # gain
+        bk_s = bk / s
+        bs = -(k * bk_s + 0.5 * (1.0 - v * w) / s)  # innovation variance
+        gr2 += bs
+        gd -= bv
+        gc += pp * (bk_s - k * bp_ + 2.0 * c * bs) - mp * bv
+        bp = (1.0 - k * c) * bp_ + c * bk_s + cc * bs
+        bm = bm_ - c * bv
+    adjoints = (gam + 2.0 * a * gap, gb, gq0, gq1, gd, gc, gr2, bm, bp)
+    return loglik, -1, adjoints
 
 
 __all__ = ["filter_kernel", "BACKEND"]

@@ -13,6 +13,7 @@ complement, optionally on the log scale.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -157,8 +158,7 @@ def load_events(path) -> EventLog:
         return EventLog(np.empty(0, dtype=np.int64))
     lines = _line_bounds(data)
     if lines is None:
-        del data
-        ts, codes, instrument, rejected = _read_rows(path)
+        ts, codes, instrument, rejected = _read_rows(path, data)
     else:
         ts, codes, instrument, rejected = _read_lines(path, data, *lines)
     if np.any(ts[1:] < ts[:-1]):
@@ -198,13 +198,15 @@ def _check_header(path, fieldnames) -> None:
         raise ValueError(f"{path}: missing required 'timestamp' column")
 
 
-def _read_rows(path):
-    """Apply the row rules to every row, as split by ``csv.DictReader``."""
+def _read_rows(path, data: bytes):
+    """Apply the row rules to every row of ``data``, the file's bytes past a
+    byte order mark, as split by ``csv.DictReader``; ``path`` only names
+    the file in messages.  Bytes that are not UTF-8 raise UnicodeDecodeError."""
     stamps = []
     codes = []
     instrument = ""
     rejected = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.StringIO(data.decode("utf-8"), newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is not None:  # None: the file is only a byte order mark

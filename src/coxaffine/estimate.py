@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._backend import filter_kernel
+from ._backend import filter_gradient, filter_kernel
 from ._inputs import check_choice, check_real, check_size, is_real
 from .affine_core import FellerModel, cir_transform_closed_form
 from .cox_dist import stationary_intensity
@@ -72,6 +73,9 @@ _PERTURB_SCALE = 0.7
 _XATOL = 1e-8  # stopping tolerances of _nelder_mead, the in-house simplex (stable tie order)
 _FATOL = 1e-10
 _LOOSE_SPREAD = 1.0  # a restart search also stops once its simplex values spread by this many nats
+_POLISH_STOP = 1e-10  # _bfgs stops once its predicted decrease g'Hg/2 is below this many nats
+_FIRST_STEP = 0.01  # _bfgs's first trial step, as a length in the metric of its first H
+_C1, _C2 = 1e-4, 0.9  # the strong Wolfe conditions of _bfgs's line search
 _R_MAX = math.exp(50.0)  # the search box: |log kappa|, |log theta|, |log sigma| <= 50, |R| <= e^50
 _REL_STEP = 1e-4  # Hessian step relative to max(1, |x|)
 _LB_ALPHA = 0.05  # Ljung-Box level
@@ -276,6 +280,94 @@ def _filter_coeffs(kappa, theta, sigma, R, spec: StateSpaceSpec) -> _Coeffs:
     return _Coeffs(a, b, q0, q1, d, c, R * R, theta, p0)
 
 
+def _closed_form_tangents(kappa, theta, sigma, horizon) -> tuple:
+    """alpha and beta of ``cir_transform_closed_form`` at mu = 1, and their
+    derivatives in (log kappa, log theta, log sigma), as (alpha, beta,
+    d alpha, d beta).
+
+    Each line of the closed form is differentiated by hand, on both sides of
+    its long-horizon switch; ``_k`` and ``_s`` name a line's derivatives in
+    kappa and sigma.  alpha is linear in theta and beta does not depend on it.
+    """
+    two_s2 = 2.0 * sigma * sigma
+    gamma = math.sqrt(kappa * kappa + two_s2)
+    gamma_k, gamma_s = kappa / gamma, 2.0 * sigma / gamma
+    gpk = gamma + kappa
+    g = two_s2 / gpk
+    g_k, g_s = -g * (gamma_k + 1.0) / gpk, (4.0 * sigma - g * gamma_s) / gpk
+    emg = math.exp(-gamma * horizon)
+    emg_k, emg_s = -horizon * emg * gamma_k, -horizon * emg * gamma_s
+    denom = gpk + g * emg
+    denom_k = gamma_k + 1.0 + g_k * emg + g * emg_k
+    denom_s = gamma_s + g_s * emg + g * emg_s
+    beta = -2.0 * math.expm1(-gamma * horizon) / denom
+    beta_k = -(2.0 * emg_k + beta * denom_k) / denom
+    beta_s = -(2.0 * emg_s + beta * denom_s) / denom
+    eh = math.exp(-0.5 * g * horizon)
+    eh_k, eh_s = -0.5 * horizon * eh * g_k, -0.5 * horizon * eh * g_s
+    if eh < 2.0**-26:
+        log_ratio = math.log((2.0 * gamma) / denom) - 0.5 * g * horizon
+        log_ratio_k = gamma_k / gamma - denom_k / denom - 0.5 * horizon * g_k
+        log_ratio_s = gamma_s / gamma - denom_s / denom - 0.5 * horizon * g_s
+    else:
+        ehm1 = math.expm1(-0.5 * g * horizon)
+        tail = 2.0 * eh - 1.0 - emg
+        resid = (2.0 * kappa) * ehm1 + g * tail
+        resid_k = 2.0 * ehm1 + 2.0 * kappa * eh_k + g_k * tail + g * (2.0 * eh_k - emg_k)
+        resid_s = 2.0 * kappa * eh_s + g_s * tail + g * (2.0 * eh_s - emg_s)
+        ratio = resid / denom
+        log_ratio = math.log1p(ratio)
+        log_ratio_k = (resid_k - ratio * denom_k) / (denom + resid)
+        log_ratio_s = (resid_s - ratio * denom_s) / (denom + resid)
+    scale = 2.0 * kappa * theta / (sigma * sigma)
+    alpha = scale * log_ratio
+    d_alpha = (
+        alpha + scale * kappa * log_ratio_k,
+        alpha,
+        -2.0 * alpha + scale * sigma * log_ratio_s,
+    )
+    return alpha, beta, d_alpha, (kappa * beta_k, 0.0, sigma * beta_s)
+
+
+def _coeff_tangents(kappa, theta, sigma, x_R, spec: StateSpaceSpec) -> tuple:
+    """The derivatives of ``_filter_coeffs``' nine coefficients in the search
+    point (log kappa, log theta, log sigma, x_R), one row of four per
+    coefficient, at R = |x_R|: r2 = x_R^2 gives 2 x_R."""
+    h = spec.delta
+    e = math.exp(-kappa * h)
+    ke = kappa * h * e  # -d e / d log kappa
+    s2 = sigma**2
+    q1 = s2 * (1.0 - e) * e / kappa
+    q0 = s2 * theta * (1.0 - e) ** 2 / (2.0 * kappa)
+    p0 = s2 * theta / (2.0 * kappa)
+    if spec.mapping == "direct_state":
+        d_row = c_row = (0.0, 0.0, 0.0, 0.0)
+    else:
+        alpha, beta, d_alpha, d_beta = _closed_form_tangents(kappa, theta, sigma, spec.window)
+        if spec.mapping == "log_prob_no_arrival":
+            d_row = (*d_alpha, 0.0)
+            c_row = (*(-v for v in d_beta), 0.0)
+        else:
+            # base = exp(alpha - beta theta), d = base (1 + beta theta), c = -base beta
+            base = math.exp(alpha - beta * theta)
+            d_theta = (0.0, theta, 0.0)
+            d_bt = [theta * db + beta * dt for db, dt in zip(d_beta, d_theta)]  # of beta theta
+            d_base = [base * (da - dbt) for da, dbt in zip(d_alpha, d_bt)]
+            d_row = (*(v * (1.0 + beta * theta) + base * w for v, w in zip(d_base, d_bt)), 0.0)
+            c_row = (*(-(v * beta + base * w) for v, w in zip(d_base, d_beta)), 0.0)
+    return (
+        (-ke, 0.0, 0.0, 0.0),  # a
+        (theta * ke, theta * (1.0 - e), 0.0, 0.0),  # b
+        (s2 * theta * (1.0 - e) * h * e - q0, q0, 2.0 * q0, 0.0),  # q0
+        (s2 * h * e * (2.0 * e - 1.0) - q1, 0.0, 2.0 * q1, 0.0),  # q1
+        d_row,
+        c_row,
+        (0.0, 0.0, 0.0, 2.0 * x_R),  # r2
+        (0.0, theta, 0.0, 0.0),  # m0
+        (-p0, p0, 2.0 * p0, 0.0),  # p0
+    )
+
+
 def kalman_filter(
     params: FellerModel, R: float, obs, spec: StateSpaceSpec = StateSpaceSpec()
 ) -> FilterOutput:
@@ -336,7 +428,7 @@ def _objective(y: np.ndarray, spec: StateSpaceSpec):
     ys = y.tolist()
 
     def neg_loglik(x: Sequence[float]) -> float:
-        if any(abs(v) > 50.0 for v in x[:3]) or abs(x[3]) > _R_MAX:
+        if _outside_box(x):
             return _PENALTY
         kappa, theta, sigma, R = _search_params(x)
         try:
@@ -348,6 +440,43 @@ def _objective(y: np.ndarray, spec: StateSpaceSpec):
         return -ll
 
     return neg_loglik
+
+
+def _outside_box(x: Sequence[float]) -> bool:
+    """Whether a search point lies outside |log rate| <= 50, |R| <= e^50."""
+    return any(abs(v) > 50.0 for v in x[:3]) or abs(x[3]) > _R_MAX
+
+
+def _objective_gradient(y: np.ndarray, spec: StateSpaceSpec):
+    """``_objective`` with its gradient, bound to one series.
+
+    Each evaluation takes a search point x and returns (value, gradient):
+    the value is ``_objective``'s bit for bit, since ``filter_gradient``
+    gives ``filter_kernel``'s loglik, and the gradient is a list of four
+    floats, the coefficient adjoints times ``_coeff_tangents``, or None
+    where the value is ``_PENALTY``.
+    """
+    ys = y.tolist()
+
+    def value_and_gradient(x: Sequence[float]) -> tuple:
+        if _outside_box(x):
+            return _PENALTY, None
+        kappa, theta, sigma, R = _search_params(x)
+        try:
+            coeffs = _filter_coeffs(kappa, theta, sigma, R, spec)
+            ll, err, adjoints = filter_gradient(ys, *coeffs)
+            rows = _coeff_tangents(kappa, theta, sigma, float(x[3]), spec)
+        except (ValueError, OverflowError):  # math domain and range errors
+            return _PENALTY, None
+        if err >= 0 or not math.isfinite(ll):
+            return _PENALTY, None
+        grad = [0.0] * 4
+        for adjoint, row in zip(adjoints, rows):
+            for j, tangent in enumerate(row):
+                grad[j] -= adjoint * tangent
+        return -ll, grad
+
+    return value_and_gradient
 
 
 class _Exhausted(Exception):
@@ -458,6 +587,192 @@ def _nelder_mead(
     return _Search(sim[0], fsim[0], nfev, nit, success, sim)
 
 
+class _Trial(NamedTuple):
+    """A point of a line search: the value and slope there, the point and its gradient."""
+
+    value: float
+    slope: Optional[float]  # None where the value is _PENALTY
+    x: list
+    grad: Optional[list]
+
+
+class _NoStep(Exception):
+    """A gradient on the line was not finite."""
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """The minimizer of the cubic through (a, fa), (b, fb) and (c, fc) with
+    slope fpa at a, or None."""
+    try:
+        db, dc = b - a, c - a
+        denom = (db * dc) ** 2 * (db - dc)
+        rb, rc = fb - fa - fpa * db, fc - fa - fpa * dc
+        A = (dc**2 * rb - db**2 * rc) / denom
+        B = (-(dc**3) * rb + db**3 * rc) / denom
+        xmin = a + (-B + math.sqrt(B * B - 3 * A * fpa)) / (3 * A)
+    except (ArithmeticError, ValueError):  # a zero divisor, an overflow, a negative radical
+        return None
+    return xmin if math.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """The minimizer of the quadratic through (a, fa) and (b, fb) with slope fpa at a, or None."""
+    try:
+        db = b - a
+        xmin = a - fpa / (2.0 * ((fb - fa - fpa * db) / (db * db)))
+    except ArithmeticError:
+        return None
+    return xmin if math.isfinite(xmin) else None
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, dphi_lo, phi, phi0, dphi0):
+    """The zoom stage of ``_wolfe`` (Nocedal & Wright, Alg. 3.6): a step
+    between a_lo and a_hi and its ``_Trial``, or None after 11 trials."""
+    phi_rec, a_rec = phi0, 0.0
+    for i in range(11):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        # a cubic through the last three values, else a quadratic, else bisection
+        a_j = None
+        if i > 0:
+            cchk = 0.2 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if i == 0 or a_j is None or a_j > b - cchk or a_j < a + cchk:
+            qchk = 0.1 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                a_j = a_lo + 0.5 * dalpha
+        trial = phi(a_j)
+        if trial.value > phi0 + _C1 * a_j * dphi0 or trial.value >= phi_lo:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_j, trial.value
+            continue
+        if abs(trial.slope) <= -_C2 * dphi0:
+            return a_j, trial
+        if trial.slope * (a_hi - a_lo) >= 0:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_lo, phi_lo
+        else:
+            phi_rec, a_rec = phi_lo, a_lo
+        a_lo, phi_lo, dphi_lo = a_j, trial.value, trial.slope
+    return None
+
+
+def _wolfe(phi, phi0: float, dphi0: float, alpha1: float):
+    """A step along a descent direction that meets the strong Wolfe
+    conditions with ``_C1`` and ``_C2``, as (step, ``_Trial``), or None.
+
+    ``phi(alpha)`` returns the ``_Trial`` at that step; phi0 and dphi0 are
+    the value and slope at step 0, and alpha1 is the first trial step.  This
+    is the recursion of scipy's ``scalar_search_wolfe2`` and its zoom
+    (Nocedal & Wright, *Numerical Optimization*, 2006, Alg. 3.5-3.6) on
+    floats, without a maximum step.  Where scipy's search runs out of its 10
+    trials it returns the last, untested step; this returns None.
+    """
+    alpha0, phi_a0, dphi_a0 = 0.0, phi0, dphi0
+    trial = phi(alpha1)
+    for i in range(10):
+        if alpha1 == 0.0:  # the step has slipped below rounding
+            return None
+        if trial.value > phi0 + _C1 * alpha1 * dphi0 or (i > 0 and trial.value >= phi_a0):
+            return _zoom(alpha0, alpha1, phi_a0, trial.value, dphi_a0, phi, phi0, dphi0)
+        if abs(trial.slope) <= -_C2 * dphi0:
+            return alpha1, trial
+        if trial.slope >= 0:
+            return _zoom(alpha1, alpha0, trial.value, phi_a0, trial.slope, phi, phi0, dphi0)
+        alpha0, phi_a0, dphi_a0 = alpha1, trial.value, trial.slope
+        alpha1 = 2.0 * alpha1
+        trial = phi(alpha1)
+    return None
+
+
+class _Polish(NamedTuple):
+    x: list
+    fun: float
+    converged: bool
+    failed: bool  # a line search failed above the rounding level, or a gradient was not finite
+
+
+def _dot(u, v) -> float:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _bfgs(fg, x0: Sequence[float], maxiter: int, noise: float) -> _Polish:
+    """Minimize from x0 by BFGS over Python lists of floats.
+
+    ``fg(x)`` returns (value, gradient), the gradient None where the value
+    is ``_PENALTY``.  The inverse Hessian starts as diag(1, ..., 1,
+    max(|x0[-1]|, 1e-8)^2), the metric of three log rates and a noise level
+    R, without Nocedal & Wright's scaling (their eq. 6.20): R's curvature
+    dominates the first step and would shrink every rate direction.  The
+    first trial step has length ``_FIRST_STEP`` in that metric, later ones
+    start from Fletcher's guess min(1, 2.02 (f - f_old) / slope), as scipy's
+    BFGS does, and ``_wolfe`` takes each step.  The update is skipped where
+    y's = 0 or less.  ``noise`` is the value's rounding level, in the value's
+    units.
+
+    The search has converged once the predicted decrease g'Hg/2 falls below
+    ``_POLISH_STOP``, once two steps in a row gain no more than ``noise``,
+    or once a line search fails with the predicted decrease at most
+    ``noise``.  A line search that fails above it, or a gradient that is
+    not finite, ends the search as failed.  ``maxiter`` bounds the steps.
+    """
+    n = len(x0)
+    x = list(x0)
+    f, g = fg(x)
+    if g is None or not all(map(math.isfinite, g)):
+        return _Polish(x, f, False, True)
+    H = [[float(i == j) for j in range(n)] for i in range(n)]
+    H[-1][-1] = max(abs(x[-1]), 1e-8) ** 2
+    f_old = None
+    idle = 0
+    for _ in range(maxiter):
+        Hg = [_dot(row, g) for row in H]
+        gHg = _dot(g, Hg)
+        if 0.5 * gHg < _POLISH_STOP:
+            return _Polish(x, f, True, False)
+        p = [-v for v in Hg]
+        if f_old is None:
+            alpha1 = _FIRST_STEP / math.sqrt(gHg)
+        else:
+            alpha1 = min(1.0, 1.01 * 2 * (f - f_old) / -gHg)
+            if alpha1 < 0:
+                alpha1 = 1.0
+
+        def phi(alpha):
+            xt = [a + alpha * b for a, b in zip(x, p)]
+            ft, gt = fg(xt)
+            if gt is None:
+                return _Trial(ft, None, xt, None)
+            if not all(map(math.isfinite, gt)):
+                raise _NoStep
+            return _Trial(ft, _dot(gt, p), xt, gt)
+
+        try:
+            found = _wolfe(phi, f, -gHg, alpha1)
+        except _NoStep:
+            return _Polish(x, f, False, True)
+        if found is None:
+            stalled = 0.5 * gHg <= noise
+            return _Polish(x, f, stalled, not stalled)
+        alpha, trial = found
+        s = [alpha * v for v in p]
+        y = [a - b for a, b in zip(trial.grad, g)]
+        ys = _dot(y, s)
+        if ys > 0.0:
+            rho = 1.0 / ys
+            Hy = [_dot(row, y) for row in H]
+            scale = rho * (1.0 + rho * _dot(y, Hy))
+            for i in range(n):
+                for j in range(n):
+                    H[i][j] += scale * s[i] * s[j] - rho * (Hy[i] * s[j] + s[i] * Hy[j])
+        idle = idle + 1 if f - trial.value <= noise else 0
+        x, f_old, f, g = trial.x, f, trial.value, trial.grad
+        if idle == 2:
+            return _Polish(x, f, True, False)
+    return _Polish(x, f, False, False)
+
+
 _worker_counter = None  # a worker_map worker's task counter, set as the worker starts
 
 
@@ -524,13 +839,16 @@ def fit(
     """Maximize the quasi log-likelihood over (kappa, theta, sigma, R).
 
     Optimization runs over (log kappa, log theta, log sigma, R) (so the
-    rates stay positive) with ``_nelder_mead``, the package's own simplex
-    search.  The objective is even in the R coordinate and the estimate is
+    rates stay positive): restart searches with ``_nelder_mead``, the
+    package's own simplex search, then a quasi-Newton polish with ``_bfgs``.
+    The objective is even in the R coordinate and the estimate is
     R = |x_R|, so a noise level at its boundary is reached at R = 0 rather
-    than walked towards by log R.  The searches are derivative-free; the
-    floor on the filtered mean makes the objective only piecewise smooth.
-    The search orders tied vertex values by vertex index, so the fitted bits
-    do not depend on the machine's sort.
+    than walked towards by log R.  The restart searches are derivative-free,
+    since the floor on the filtered mean makes the objective only piecewise
+    smooth; they find the basin, and the polish follows the exact gradient
+    of ``_objective_gradient`` within it.  The simplex orders tied vertex
+    values by vertex index, so the fitted bits do not depend on the
+    machine's sort.
 
     All starting points are drawn first, in log space, from one generator of
     ``rng``: the initial point and ``options.n_restarts`` random restarts
@@ -539,11 +857,19 @@ def fit(
     in restart order, each stopping loosely, once the simplex's values agree
     to ``_LOOSE_SPREAD`` nats, far inside the 8-75 nat gaps between the
     basins that the restarts tell apart.  The best finite search is
-    picked in restart order, the first of a tie winning.  One strict search
-    from a fresh simplex at the winner then polishes it: the winner is that
-    simplex's first vertex, so the polish can only improve on it, and it
-    confirms that the loose search had not stalled.  ``converged`` is the
-    polish's.
+    picked in restart order, the first of a tie winning.  BFGS then polishes
+    the winner, stopping once its predicted decrease is below
+    ``_POLISH_STOP`` nats or once it gains nothing beyond the objective's
+    rounding level, taken as n * eps * |winner's value| for n observations.
+    Its point is kept when no line search failed above that level, every
+    gradient was finite and its value is at most the winner's; ``converged``
+    then says whether it stopped on one of its rules rather than at
+    ``options.maxiter`` steps.  BFGS only nears a noise level at its
+    boundary, since the objective is flat in x_R there, so the kept point
+    moves to x_R = 0 where the objective there is no worse.  Otherwise one
+    strict simplex search from a fresh simplex at the winner polishes it
+    instead, as the winner's first vertex it can only improve on it, and
+    ``converged`` is that search's.
 
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.
@@ -571,12 +897,21 @@ def fit(
             best = res
     if best is None:
         raise EstimationError("no optimizer run produced a finite quasi log-likelihood")
-    best = _nelder_mead(objective, best.x, maxiter, 4 * maxiter)
+    noise = y.size * sys.float_info.epsilon * abs(best.fun)
+    polish = _bfgs(_objective_gradient(y, spec), best.x, maxiter, noise)
+    if polish.failed or not polish.fun <= best.fun:
+        best = _nelder_mead(objective, best.x, maxiter, 4 * maxiter)
+        x = best.x
+        diameter = max(abs(a - b) for v in best.simplex for a, b in zip(v, best.x))
+        converged = best.success or diameter < _XATOL
+    else:
+        x, converged = polish.x, polish.converged
+        at_zero = [*x[:3], 0.0]
+        if objective(at_zero) <= polish.fun:
+            x = at_zero
 
-    kappa, theta, sigma, R = _search_params(best.x)
+    kappa, theta, sigma, R = _search_params(x)
     params = FellerModel(kappa=kappa, theta=theta, sigma=sigma, lambda0=theta)
-    diameter = max(abs(a - b) for v in best.simplex for a, b in zip(v, best.x))
-    converged = best.success or diameter < _XATOL
 
     se = std_errors(params, R, y, spec)
     filt = kalman_filter(params, R, y, spec)

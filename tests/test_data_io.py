@@ -248,6 +248,29 @@ class TestLoadSave:
         assert got == outcome(load_events, plain)
         assert load_events(plain).rejected_lines == (3,)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_loads_on_the_row_route(self, tmp_path):
+        # A quoted field sends the file to the row route, which must parse the
+        # bytes already read: opening the drained pipe again would block for
+        # ever, so the load runs in a thread that the test waits on a while.
+        plain, pipe = tmp_path / "plain.csv", tmp_path / "pipe.csv"
+        plain.write_bytes(b'timestamp,side,instrument\n"2024-01-03T10:00:00.000",buy,SIM\n'
+                          b'bad,buy,SIM\n2024-01-03T10:00:01.000,sell,"S,M"\n')
+        os.mkfifo(pipe)
+        got = []
+        writer = threading.Thread(target=pipe.write_bytes, args=(plain.read_bytes(),), daemon=True)
+        loader = threading.Thread(target=lambda: got.append(outcome(load_events, pipe)), daemon=True)
+        with mock.patch.object(data_io, "_read_rows", wraps=data_io._read_rows) as rows:
+            writer.start()
+            loader.start()
+            loader.join(timeout=10)
+            writer.join(timeout=10)
+        assert not loader.is_alive(), "the row route blocked on the drained pipe"
+        assert rows.call_count == 1
+        assert got == [outcome(load_events, plain)] == [outcome(oracle_load_events, plain)]
+        assert load_events(plain).rejected_lines == (3,)
+        assert load_events(plain).instrument == "SIM"
+
     def test_out_of_order_sorted_with_warning(self, tmp_path):
         p = tmp_path / "events.csv"
         p.write_text(

@@ -10,6 +10,12 @@ bits of the loop that predicted at the top of each step, kept here as
 ``reference_kernel``.  The loglik takes one log per pass, of the product of
 the innovation variances carried as a mantissa and a binary exponent; it must
 be at least as accurate as the sum of per-step logs against a 50-digit sum.
+
+``filter_gradient`` runs the kernel's forward loop, so it must give the
+kernel's loglik bits and err_index on the same inputs.  Its nine adjoints
+must match central differences of the kernel and a 50-digit rerun of it, and
+the coefficient tangents of the search point must match central differences
+of ``_filter_coeffs``.
 """
 
 import math
@@ -22,7 +28,7 @@ from hypothesis import strategies as st
 
 from coxaffine import FellerModel, FitOptions, RngStream, StateSpaceSpec, kalman_filter
 from coxaffine import _backend, estimate
-from coxaffine._backend import filter_kernel
+from coxaffine._backend import filter_gradient, filter_kernel
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -318,3 +324,149 @@ def test_objective_calls_the_module_kernel(monkeypatch):
     estimate.fit(y, spec, init=DESK, options=FitOptions(n_restarts=0, maxiter=50))
     assert counter.loglik_only > 33  # optimizer and standard errors
     assert counter.full == 1  # the residuals of the final kalman_filter
+
+
+def assert_gradient_parity(y, args):
+    ll, err = filter_kernel(y, *args)
+    ll_g, err_g, adjoints = filter_gradient(y, *args)
+    assert err_g == err
+    assert same_bits(ll_g, ll)
+    assert (adjoints is None) == (err >= 0)
+
+
+@SETTINGS
+@given(st.lists(obs, min_size=1, max_size=40), coeffs)
+def test_gradient_pass_gives_the_kernel_loglik(y, args):
+    assert_gradient_parity([float(v) for v in y], args)
+
+
+@pytest.mark.parametrize(
+    "y, args, err",
+    [
+        # the floor binds at every step
+        ([-4.0, -4.0, -3.0], (0.6, 0.4, 0.01, 0.02, 0.0, 1.0, 0.1, 1.0, 0.5), -1),
+        # the floor binds at step 0 only
+        ([-4.0, 5.0], (0.6, 0.4, 0.01, 0.02, 0.0, 1.0, 0.1, 1.0, 0.5), -1),
+        # innovation variance exactly zero at step 0
+        ([1.0, 2.0], (0.6, 0.4, 0.01, 0.02, 0.0, 0.0, 0.0, 1.0, 0.5), 0),
+        # negative r2 takes s below zero at step 1
+        ([1.0, 1.0, 1.0], (0.1, 0.0, 0.0, 0.0, 0.0, 1.0, -0.3, 1.0, 1.0), 1),
+        # NaN data: s turns NaN one step later
+        ([1.0, math.nan, 1.0], (0.6, 0.4, 0.01, 0.02, 0.0, 1.0, 0.1, 1.0, 0.5), 2),
+    ],
+)
+def test_gradient_edge_cases(y, args, err):
+    assert filter_gradient(y, *args)[1] == err
+    assert_gradient_parity(y, args)
+
+
+@pytest.mark.parametrize("T", [10, 1000])
+def test_gradient_pass_renormalises_as_the_kernel_does(T):
+    # s_t swings between 2**-499..2**-199 and 2**200..2**500, so the product
+    # is renormalised by frexp and s_t enters as a mantissa
+    args = swing(2.0**-250, 2.0**950)
+    y = swinging_observations(args, T, np.random.default_rng(T))
+    assert_gradient_parity(y, args)
+
+
+def central_adjoints(y, args, rel=1e-6):
+    """Central differences of the kernel's loglik in each coefficient, and
+    the step of each."""
+    out = []
+    for i, v in enumerate(args):
+        h = rel * max(abs(v), 1e-3)
+        up, down = list(args), list(args)
+        up[i] += h
+        down[i] -= h
+        out.append(((filter_kernel(y, *up)[0] - filter_kernel(y, *down)[0]) / (2.0 * h), h))
+    return out
+
+
+def gradient_cases():
+    """A simulated series of 200 steps per mapping, filtered away from the fit."""
+    for i, spec in enumerate(SPECS):
+        y = estimate.simulate_observations(DESK, 1e-3, spec, 200, RngStream(40 + i)).tolist()
+        yield y, tuple(estimate._filter_coeffs(0.25, 0.035, 0.06, 2e-3, spec))
+
+
+def test_adjoints_match_central_differences():
+    for y, args in gradient_cases():
+        ll, err, adjoints = filter_gradient(y, *args)
+        assert err == -1
+        for adjoint, (cd, h) in zip(adjoints, central_adjoints(y, args)):
+            # the differences' rounding: a few ulps of the loglik over the step
+            assert abs(adjoint - cd) <= 1e-5 * abs(cd) + 10 * 2.0**-52 * abs(ll) / h
+
+
+def mp_loglik(y, a, b, q0, q1, d, c, r2, m0, p0):
+    """The kernel's recursion in mpmath arithmetic."""
+    ll = 0
+    mp, pp = m0, p0
+    for yt in y:
+        v = yt - (d + c * mp)
+        s = c * c * pp + r2
+        k = pp * c / s
+        m = max(mp + k * v, 0)
+        p = (1 - k * c) * pp
+        ll -= (mpmath.log(2 * mpmath.pi) + mpmath.log(s) + v * v / s) / 2
+        mp = a * m + b
+        pp = a * a * p + (q0 + q1 * m)
+    return ll
+
+
+@pytest.mark.parametrize("case, floored", [(0, ()), (2, ()), (3, (5, 17, 18))])
+def test_adjoints_match_a_50_digit_rerun(case, floored):
+    y, args = list(gradient_cases())[case]
+    y = y[:40]
+    for t in floored:  # observed far below zero: the floor binds there
+        y[t] = -1.0
+    steps = []
+    filter_kernel(y, *args, steps)
+    assert [t for t, step in enumerate(steps) if step[2] == 0.0] == list(floored)
+    adjoints = filter_gradient(y, *args)[2]
+    with mpmath.workdps(50):
+        ys = [mpmath.mpf(v) for v in y]
+        point = [mpmath.mpf(v) for v in args]
+        for i, adjoint in enumerate(adjoints):
+            def loglik(z, i=i):
+                return mp_loglik(ys, *point[:i], z, *point[i + 1:])
+
+            exact = mpmath.diff(loglik, point[i])
+            assert abs(adjoint - exact) <= 1e-12 * abs(exact), (i, adjoint, exact)
+
+
+# fitted optima: criterion 9's first replication, and events_dense.csv at seed 1
+OPTIMA = [
+    ((0.1892238688972522, 0.040421537997617225, 0.04888550032164291, 3.5645566390446257e-09),
+     1.0, 1.0),
+    ((0.11897346407936835, 0.5053585457001785, 0.0955734381427286, 0.00011877433909429461),
+     1.0, 1.0 / 6000.0),
+]
+
+
+@pytest.mark.parametrize("mapping", estimate._MAPPINGS)
+@pytest.mark.parametrize("optimum", range(len(OPTIMA)))
+def test_coefficient_tangents_match_central_differences(optimum, mapping):
+    params, delta, window = OPTIMA[optimum]
+    spec = StateSpaceSpec(delta=delta, window=window, mapping=mapping)
+    x = [*np.log(params[:3]).tolist(), params[3]]
+
+    def coeffs_at(x):
+        return estimate._filter_coeffs(*np.exp(x[:3]).tolist(), abs(x[3]), spec)
+
+    rows = estimate._coeff_tangents(*params[:3], x[3], spec)
+    c = coeffs_at(x).c
+    for j in range(4):
+        h = 1e-5 * max(1.0, abs(x[j]))
+        up, down = list(x), list(x)
+        up[j] += h
+        down[j] -= h
+        diffs = [(u - v) / (2.0 * h) for u, v in zip(coeffs_at(up), coeffs_at(down))]
+        for i, (row, cd) in enumerate(zip(rows, diffs)):
+            scale = max(abs(t) for t in row)
+            if i == 4:
+                # d enters the filter only beside c lam: at a window of 1/6000
+                # alpha keeps about seven digits, so its differences are
+                # judged on the scale of c theta, the measurement's level
+                scale = max(scale, abs(c) * params[1])
+            assert abs(row[j] - cd) <= 1e-6 * scale, (i, j, row[j], cd)
