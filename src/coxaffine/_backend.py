@@ -18,11 +18,10 @@ multiplied in as its ``math.frexp`` mantissa, its exponent going to E, and
 So the product never overflows or underflows, and log(prod_t s_t) is
 ``log(prod) + E * ln 2``.
 
-``filter_gradient`` sits next to the kernel under the same contract: its
-forward loop is the kernel's statements in the same order, so its loglik
-bits and err_index equal the kernel's, and a reverse sweep over the steps it
-records gives the loglik's derivatives in the nine coefficients.  A compiled
-twin of the kernel would need a twin of this loop too.
+``filter_gradient`` sits next to the kernel under the same contract: it runs
+the kernel with ``steps`` and sweeps back over them for the loglik's
+derivatives in the nine coefficients, so its loglik bits and err_index are
+the kernel's.
 """
 
 import math
@@ -89,55 +88,32 @@ def filter_gradient(y, a, b, q0, q1, d, c, r2, m0, p0):
 
     Returns (loglik, err_index, adjoints), where ``adjoints`` holds d loglik
     / d (a, b, q0, q1, d, c, r2, m0, p0), or is None where err_index is not
-    -1.  The forward loop is ``filter_kernel``'s, statement for statement,
-    and records (mp, pp, s, k, v, m, p, floored) per step; the reverse sweep
-    is its adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008),
-    which for a Kalman filter is the smoother-based score of Koopman &
-    Shephard (Biometrika, 1992).  The filtered mean's adjoint is 0 at a step
-    where the zero floor bound, that is where the filtered mean is 0.
+    -1.  The forward pass is ``filter_kernel`` itself, recording its steps,
+    so the loglik bits and err_index are the kernel's.  The reverse sweep
+    over those steps is the kernel's adjoint (Griewank & Walther,
+    *Evaluating Derivatives*, 2008), which for a Kalman filter is the
+    smoother-based score of Koopman & Shephard (Biometrika, 1992); it
+    recomputes each step's gain as the kernel does.  The filtered mean's
+    adjoint is 0 at a step where the zero floor bound, that is where the
+    filtered mean is 0.
     """
-    frexp = math.frexp
-    lo, hi = _LO, _HI
+    steps = []
+    loglik, err = filter_kernel(y, a, b, q0, q1, d, c, r2, m0, p0, steps)
+    if err >= 0:
+        return loglik, err, None
     aa = a * a
     cc = c * c
-    prod, exp2, quad = 1.0, 0, 0.0
-    mp, pp = m0, p0
-    tape = []
-    for t, yt in enumerate(y):
-        v = yt - (d + c * mp)
-        s = cc * pp + r2
-        if lo <= s <= hi:
-            prod *= s
-        elif s > 0.0:
-            f, e = frexp(s)
-            prod *= f
-            exp2 += e
-        else:
-            return math.nan, t, None
-        k = pp * c / s
-        m = mp + k * v
-        if m < 0.0:
-            m = 0.0
-        p = (1.0 - k * c) * pp
-        tape.append((mp, pp, s, k, v, m, p, m == 0.0))
-        quad += v * v / s
-        if prod > hi or prod < lo:
-            prod, e = frexp(prod)
-            exp2 += e
-        mp = a * m + b
-        pp = aa * p + (q0 + q1 * m)
-    loglik = -0.5 * (len(y) * _LOG_2PI + (math.log(prod) + exp2 * _LN2) + quad)
-
     # bm, bp: the adjoints of the next step's predicted mean and variance
     bm = bp = 0.0
     gam = gap = gb = gq0 = gq1 = gd = gc = gr2 = 0.0
-    for mp, pp, s, k, v, m, p, floored in reversed(tape):
+    for mp, pp, m, p, v, s in reversed(steps):
+        k = pp * c / s
         gam += bm * m
         gap += bp * p
         gb += bm
         gq0 += bp
         gq1 += bp * m
-        bm_ = 0.0 if floored else a * bm + q1 * bp  # filtered mean
+        bm_ = 0.0 if m == 0.0 else a * bm + q1 * bp  # filtered mean
         bp_ = aa * bp  # filtered variance
         w = v / s
         bv = k * bm_ - w  # innovation

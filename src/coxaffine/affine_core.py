@@ -184,6 +184,9 @@ class TransformCoeffs:
         return jets.exp(acc)
 
 
+_LONG_HORIZON = 2.0**-26  # alpha's long-horizon form holds once e^{-g h/2} is below this
+
+
 def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) -> TransformCoeffs:
     """Closed-form (alpha, beta) for the square-root intensity.
 
@@ -209,7 +212,7 @@ def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) ->
     denom = (gamma + kappa) + g * emg
     beta = (-2.0 * mu) * jets.expm1(-gamma * horizon) / denom
     eh = jets.exp(-0.5 * g * horizon)
-    if (eh.value if isinstance(eh, Jet) else eh) < 2.0**-26:
+    if (eh.value if isinstance(eh, Jet) else eh) < _LONG_HORIZON:
         log_ratio = jets.log((2.0 * gamma) / denom) - 0.5 * g * horizon
     else:
         # numerator - denominator, arranged so every term is O(g) or O(kappa*dt)
@@ -217,6 +220,57 @@ def cir_transform_closed_form(model: FellerModel, mu: Scalar, horizon: float) ->
         log_ratio = jets.log1p(resid / denom)
     alpha = (2.0 * kappa * theta / (sigma * sigma)) * log_ratio
     return TransformCoeffs(alpha=alpha, beta=beta)
+
+
+def _closed_form_tangents(kappa, theta, sigma, horizon) -> tuple:
+    """alpha and beta of ``cir_transform_closed_form`` at mu = 1 for float
+    rates, with the closed form's bits, and their derivatives in (log kappa,
+    log theta, log sigma), as (alpha, beta, d alpha, d beta).
+
+    Each line of the closed form is differentiated by hand, on both sides of
+    its long-horizon switch ``_LONG_HORIZON``; ``_k`` and ``_s`` name a
+    line's derivatives in kappa and sigma.  alpha is linear in theta and
+    beta does not depend on it.  The QML gradient's coefficient tangents
+    use this; an edit to the closed form's lines needs its twin here.
+    """
+    two_s2 = 2.0 * sigma * sigma
+    gamma = math.sqrt(kappa * kappa + two_s2)
+    gamma_k, gamma_s = kappa / gamma, 2.0 * sigma / gamma
+    gpk = gamma + kappa
+    g = two_s2 / gpk
+    g_k, g_s = -g * (gamma_k + 1.0) / gpk, (4.0 * sigma - g * gamma_s) / gpk
+    emg = math.exp(-gamma * horizon)
+    emg_k, emg_s = -horizon * emg * gamma_k, -horizon * emg * gamma_s
+    denom = gpk + g * emg
+    denom_k = gamma_k + 1.0 + g_k * emg + g * emg_k
+    denom_s = gamma_s + g_s * emg + g * emg_s
+    beta = -2.0 * math.expm1(-gamma * horizon) / denom
+    beta_k = -(2.0 * emg_k + beta * denom_k) / denom
+    beta_s = -(2.0 * emg_s + beta * denom_s) / denom
+    eh = math.exp(-0.5 * g * horizon)
+    eh_k, eh_s = -0.5 * horizon * eh * g_k, -0.5 * horizon * eh * g_s
+    if eh < _LONG_HORIZON:
+        log_ratio = math.log((2.0 * gamma) / denom) - 0.5 * g * horizon
+        log_ratio_k = gamma_k / gamma - denom_k / denom - 0.5 * horizon * g_k
+        log_ratio_s = gamma_s / gamma - denom_s / denom - 0.5 * horizon * g_s
+    else:
+        ehm1 = math.expm1(-0.5 * g * horizon)
+        tail = 2.0 * eh - 1.0 - emg
+        resid = (2.0 * kappa) * ehm1 + g * tail
+        resid_k = 2.0 * ehm1 + 2.0 * kappa * eh_k + g_k * tail + g * (2.0 * eh_k - emg_k)
+        resid_s = 2.0 * kappa * eh_s + g_s * tail + g * (2.0 * eh_s - emg_s)
+        ratio = resid / denom
+        log_ratio = math.log1p(ratio)
+        log_ratio_k = (resid_k - ratio * denom_k) / (denom + resid)
+        log_ratio_s = (resid_s - ratio * denom_s) / (denom + resid)
+    scale = 2.0 * kappa * theta / (sigma * sigma)
+    alpha = scale * log_ratio
+    d_alpha = (
+        alpha + scale * kappa * log_ratio_k,
+        alpha,
+        -2.0 * alpha + scale * sigma * log_ratio_s,
+    )
+    return alpha, beta, d_alpha, (kappa * beta_k, 0.0, sigma * beta_s)
 
 
 # Dormand-Prince RK45 tableau (same pair as the classical adaptive 4(5) solver)

@@ -201,12 +201,14 @@ def _check_header(path, fieldnames) -> None:
 def _read_rows(path, data: bytes):
     """Apply the row rules to every row of ``data``, the file's bytes past a
     byte order mark, as split by ``csv.DictReader``; ``path`` only names
-    the file in messages.  Bytes that are not UTF-8 raise UnicodeDecodeError."""
+    the file in messages.  The bytes are decoded in chunks as they are
+    read, as ``open`` does, without a copy of the whole text; bytes that are
+    not UTF-8 raise UnicodeDecodeError."""
     stamps = []
     codes = []
     instrument = ""
     rejected = []
-    with io.StringIO(data.decode("utf-8"), newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is not None:  # None: the file is only a byte order mark

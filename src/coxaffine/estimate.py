@@ -32,7 +32,7 @@ import numpy as np
 
 from ._backend import filter_gradient, filter_kernel
 from ._inputs import check_choice, check_real, check_size, is_real
-from .affine_core import FellerModel, cir_transform_closed_form
+from .affine_core import FellerModel, _closed_form_tangents, cir_transform_closed_form
 from .cox_dist import stationary_intensity
 from .simulate import RngStream, _cir_chain
 
@@ -280,66 +280,14 @@ def _filter_coeffs(kappa, theta, sigma, R, spec: StateSpaceSpec) -> _Coeffs:
     return _Coeffs(a, b, q0, q1, d, c, R * R, theta, p0)
 
 
-def _closed_form_tangents(kappa, theta, sigma, horizon) -> tuple:
-    """alpha and beta of ``cir_transform_closed_form`` at mu = 1, and their
-    derivatives in (log kappa, log theta, log sigma), as (alpha, beta,
-    d alpha, d beta).
-
-    Each line of the closed form is differentiated by hand, on both sides of
-    its long-horizon switch; ``_k`` and ``_s`` name a line's derivatives in
-    kappa and sigma.  alpha is linear in theta and beta does not depend on it.
-    """
-    two_s2 = 2.0 * sigma * sigma
-    gamma = math.sqrt(kappa * kappa + two_s2)
-    gamma_k, gamma_s = kappa / gamma, 2.0 * sigma / gamma
-    gpk = gamma + kappa
-    g = two_s2 / gpk
-    g_k, g_s = -g * (gamma_k + 1.0) / gpk, (4.0 * sigma - g * gamma_s) / gpk
-    emg = math.exp(-gamma * horizon)
-    emg_k, emg_s = -horizon * emg * gamma_k, -horizon * emg * gamma_s
-    denom = gpk + g * emg
-    denom_k = gamma_k + 1.0 + g_k * emg + g * emg_k
-    denom_s = gamma_s + g_s * emg + g * emg_s
-    beta = -2.0 * math.expm1(-gamma * horizon) / denom
-    beta_k = -(2.0 * emg_k + beta * denom_k) / denom
-    beta_s = -(2.0 * emg_s + beta * denom_s) / denom
-    eh = math.exp(-0.5 * g * horizon)
-    eh_k, eh_s = -0.5 * horizon * eh * g_k, -0.5 * horizon * eh * g_s
-    if eh < 2.0**-26:
-        log_ratio = math.log((2.0 * gamma) / denom) - 0.5 * g * horizon
-        log_ratio_k = gamma_k / gamma - denom_k / denom - 0.5 * horizon * g_k
-        log_ratio_s = gamma_s / gamma - denom_s / denom - 0.5 * horizon * g_s
-    else:
-        ehm1 = math.expm1(-0.5 * g * horizon)
-        tail = 2.0 * eh - 1.0 - emg
-        resid = (2.0 * kappa) * ehm1 + g * tail
-        resid_k = 2.0 * ehm1 + 2.0 * kappa * eh_k + g_k * tail + g * (2.0 * eh_k - emg_k)
-        resid_s = 2.0 * kappa * eh_s + g_s * tail + g * (2.0 * eh_s - emg_s)
-        ratio = resid / denom
-        log_ratio = math.log1p(ratio)
-        log_ratio_k = (resid_k - ratio * denom_k) / (denom + resid)
-        log_ratio_s = (resid_s - ratio * denom_s) / (denom + resid)
-    scale = 2.0 * kappa * theta / (sigma * sigma)
-    alpha = scale * log_ratio
-    d_alpha = (
-        alpha + scale * kappa * log_ratio_k,
-        alpha,
-        -2.0 * alpha + scale * sigma * log_ratio_s,
-    )
-    return alpha, beta, d_alpha, (kappa * beta_k, 0.0, sigma * beta_s)
-
-
-def _coeff_tangents(kappa, theta, sigma, x_R, spec: StateSpaceSpec) -> tuple:
-    """The derivatives of ``_filter_coeffs``' nine coefficients in the search
-    point (log kappa, log theta, log sigma, x_R), one row of four per
-    coefficient, at R = |x_R|: r2 = x_R^2 gives 2 x_R."""
+def _coeff_tangents(coeffs: _Coeffs, kappa, theta, sigma, x_R, spec: StateSpaceSpec) -> tuple:
+    """The derivatives of ``_filter_coeffs``' nine coefficients ``coeffs`` in
+    the search point (log kappa, log theta, log sigma, x_R), one row of four
+    per coefficient, at R = |x_R|: r2 = x_R^2 gives 2 x_R."""
     h = spec.delta
-    e = math.exp(-kappa * h)
+    e, q0, q1, p0 = coeffs.a, coeffs.q0, coeffs.q1, coeffs.p0
     ke = kappa * h * e  # -d e / d log kappa
     s2 = sigma**2
-    q1 = s2 * (1.0 - e) * e / kappa
-    q0 = s2 * theta * (1.0 - e) ** 2 / (2.0 * kappa)
-    p0 = s2 * theta / (2.0 * kappa)
     if spec.mapping == "direct_state":
         d_row = c_row = (0.0, 0.0, 0.0, 0.0)
     else:
@@ -465,7 +413,7 @@ def _objective_gradient(y: np.ndarray, spec: StateSpaceSpec):
         try:
             coeffs = _filter_coeffs(kappa, theta, sigma, R, spec)
             ll, err, adjoints = filter_gradient(ys, *coeffs)
-            rows = _coeff_tangents(kappa, theta, sigma, float(x[3]), spec)
+            rows = _coeff_tangents(coeffs, kappa, theta, sigma, float(x[3]), spec)
         except (ValueError, OverflowError):  # math domain and range errors
             return _PENALTY, None
         if err >= 0 or not math.isfinite(ll):
@@ -866,10 +814,13 @@ def fit(
     then says whether it stopped on one of its rules rather than at
     ``options.maxiter`` steps.  BFGS only nears a noise level at its
     boundary, since the objective is flat in x_R there, so the kept point
-    moves to x_R = 0 where the objective there is no worse.  Otherwise one
-    strict simplex search from a fresh simplex at the winner polishes it
-    instead, as the winner's first vertex it can only improve on it, and
-    ``converged`` is that search's.
+    moves to x_R = 0 where the objective there is no worse (no worse, not
+    within a tolerance in nats).  Otherwise one strict simplex search from a
+    fresh simplex at the winner polishes it instead, as the winner's first
+    vertex it can only improve on it, and ``converged`` is that search's.
+    Such a fallback fit never takes the x_R = 0 step: it keeps the
+    simplex's point bit for bit, so a noise level at its boundary is
+    reported there as a small R, not as R = 0.
 
     Raises ValueError on fewer than 20 observations, and on non-finite data
     with the offending index.

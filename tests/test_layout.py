@@ -15,9 +15,7 @@ no process, and ``validate``'s worker pool does not outlive the command.
 ``concurrent.futures`` loads only inside the Monte Carlo block loop, so
 importing the CLI and running ``simulate`` or ``pmf`` never loads it.
 Only ``_inputs`` builds a "must be one of" message: every string choice is
-checked by ``_inputs.check_choice``.  ``_backend.filter_gradient`` runs
-``filter_kernel``'s forward pass statement for statement, so an edit to one
-kernel fails here at once.
+checked by ``_inputs.check_choice``.
 """
 
 import ast
@@ -111,39 +109,6 @@ def test_imports_follow_the_readme_layout():
     for name in ("jets", "_inputs", "_backend"):
         assert graph[name] == set(), f"{name} imports {sorted(graph[name])}"
     assert graph["data_io"] == {"_inputs"}, graph["data_io"]
-
-
-def _forward_pass(function: str, recorder: str):
-    """The statements of a ``_backend`` function up to and including its
-    loop over y, those that name ``recorder`` left out, each return in the
-    loop cut to (loglik, err_index); and the function's loglik expression."""
-    tree = ast.parse(MODULES["_backend"].read_text())
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
-    body = fn.body[1:]  # past the docstring
-    end = next(i for i, stmt in enumerate(body) if isinstance(stmt, ast.For)) + 1
-    kept = []
-    for stmt in ast.walk(ast.Module(body=body[:end], type_ignores=[])):
-        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Tuple):
-            stmt.value.elts = stmt.value.elts[:2]
-    for stmt in body[:end]:
-        if isinstance(stmt, ast.For):
-            stmt.body = [s for s in stmt.body if not _names(s, recorder)]
-        if not _names(stmt, recorder) or isinstance(stmt, ast.For):
-            kept.append(ast.dump(stmt))
-    after = body[end]
-    loglik = after.value.elts[0] if isinstance(after, ast.Return) else after.value
-    return kept, ast.dump(loglik)
-
-
-def _names(node, name: str) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
-
-
-def test_the_gradient_pass_runs_the_kernel_statements():
-    kernel = _forward_pass("filter_kernel", "steps")
-    gradient = _forward_pass("filter_gradient", "tape")
-    assert len(kernel[0]) > 5
-    assert gradient == kernel
 
 
 _PROBE = """
