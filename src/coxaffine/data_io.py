@@ -134,8 +134,9 @@ def load_events(path) -> EventLog:
     timestamp forms are those of the running Python's
     ``datetime.fromisoformat``: Python 3.10 rejects a ``Z`` suffix, 3.11
     accepts it.  ``instrument`` is taken from the first accepted row that
-    names one.  Out of order rows are sorted with a warning.  An empty file
-    yields an empty log.
+    names one.  Out of order rows are sorted with a warning.  An empty file,
+    or one that holds only a byte order mark or its first bytes, yields an
+    empty log.
 
     The file is read whole, so memory grows with its size.  A row is parsed
     in vectorized blocks when its side is exactly ``buy``, ``sell`` or empty
@@ -152,7 +153,9 @@ def load_events(path) -> EventLog:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:3] == b"\xef\xbb\xbf":  # a byte order mark is skipped
+    # a byte order mark is skipped, and so is a file cut inside one, which
+    # the utf-8-sig codec also reads as empty
+    if b"\xef\xbb\xbf".startswith(data[:3]):
         data = data[3:]
     if not data:
         return EventLog(np.empty(0, dtype=np.int64))

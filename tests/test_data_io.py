@@ -208,6 +208,12 @@ class TestLoadSave:
         p.write_bytes(b"\xef\xbb\xbf")
         assert len(load_events(p)) == 0
 
+    @pytest.mark.parametrize("cut", [b"\xef", b"\xef\xbb", b"\xef\xbbX", b"\xefX"])
+    def test_a_file_cut_inside_a_byte_order_mark_reads_as_the_reference_does(self, tmp_path, cut):
+        p = tmp_path / "events.csv"
+        p.write_bytes(cut)
+        assert outcome(load_events, p) == outcome(oracle_load_events, p)
+
     def test_byte_order_mark_keeps_the_vectorised_route(self, tmp_path):
         body = (
             b"timestamp,side,instrument\r\n"
